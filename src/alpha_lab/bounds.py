@@ -15,7 +15,7 @@ three standard errors from the measured side before comparing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -170,6 +170,8 @@ class TrendResult:
 
     The check is conditional on the linear model attaining the minimal
     risk for the data distribution; ``conditional`` records that caveat.
+    ``converged`` and ``capped`` count, per sample size, the runs whose
+    training met the stop rule and those that hit the iteration cap.
     """
 
     alpha: float
@@ -177,6 +179,8 @@ class TrendResult:
     mean_gap: np.ndarray
     se_gap: np.ndarray
     bayes: float
+    converged: np.ndarray
+    capped: np.ndarray
     conditional: str = (
         "trend is conditional on the linear model attaining the minimal risk; "
         "this assumption is not verified"
@@ -204,28 +208,25 @@ def optimality_trend(
     the Gaussian projection of the mixture, and compared with the Bayes
     risk of the clean distribution.
     """
-    cfg = config or TrainConfig()
     a = canon_alpha(alpha)
+    cfg = replace(config or TrainConfig(), alpha=a)
     rstar = bayes_risk(spec)
     mean_gap = np.zeros(len(n_grid))
     se_gap = np.zeros(len(n_grid))
+    converged = np.zeros(len(n_grid), dtype=int)
     for i, n in enumerate(n_grid):
         datasets = [
             sample_gmm(spec, int(n), seed=(seed, _STREAM_TREND, i, r)) for r in range(runs)
         ]
         X = np.stack([d.X for d in datasets])
         y = np.stack([d.y for d in datasets]).astype(float)
-        thetas, _ = _batched_gd(X, y, TrainConfig(
-            alpha=a,
-            learning_rate=cfg.learning_rate,
-            optimality_parameter=cfg.optimality_parameter,
-            max_iterations=cfg.max_iterations,
-            radius=cfg.radius,
-            seed=cfg.seed,
-        ))
+        thetas, reports = _batched_gd(X, y, cfg)
+        converged[i] = sum(rep.converged for rep in reports)
         gaps = np.array(
             [gaussian_linear_error(spec, th, 0.0) - rstar for th in thetas]
         )
         mean_gap[i] = gaps.mean()
         se_gap[i] = gaps.std(ddof=1) / np.sqrt(runs) if runs > 1 else np.inf
-    return TrendResult(a, [int(n) for n in n_grid], mean_gap, se_gap, float(rstar))
+    return TrendResult(
+        a, [int(n) for n in n_grid], mean_gap, se_gap, float(rstar), converged, runs - converged
+    )

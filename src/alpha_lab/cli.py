@@ -216,6 +216,7 @@ def cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest = _manifest(args, "synth", args.scenario)
     manifest["runs"] = args.runs
+    manifest["converged_runs"] = ",".join(str(int(c)) for c in summary.run_converged.sum(axis=1))
     rows = [
         [
             _fmt(a),
@@ -272,7 +273,7 @@ def cmd_slqc_audit(args) -> int:
     targets = parse_alpha_list(args.targets)
     data = sample_gmm(spec, args.n, seed=(args.seed, 11), normalize=True)
     config = TrainConfig(alpha=alpha0, radius=args.radius, seed=args.seed)
-    theta0, _ = train_gd(data, config)
+    theta0, report0 = train_gd(data, config)
     kappa0 = logistic.theta_lipschitz_constant(alpha0, args.radius, spec.dim)
     rho0 = args.eps0 / kappa0
     thetas = slqc.sample_audit_points(spec.dim, args.radius, args.samples, seed=(args.seed, 12))
@@ -324,6 +325,9 @@ def cmd_slqc_audit(args) -> int:
     manifest["alpha0"] = _fmt(alpha0)
     manifest["eps0"] = _fmt(args.eps0)
     manifest["kappa0"] = _fmt(kappa0)
+    manifest["theta0_converged"] = _fmt(report0.converged)
+    manifest["theta0_iterations"] = report0.iterations
+    manifest["theta0_stop_statistic"] = _fmt(report0.grad_norm)
     manifest["violations"] = violations
     write_csv(
         args.out,
@@ -404,6 +408,8 @@ def cmd_trend(args) -> int:
     manifest["alpha"] = _fmt(alpha)
     manifest["bayes_risk"] = _fmt(result.bayes)
     manifest["note"] = result.conditional
+    manifest["converged_runs"] = ",".join(str(int(c)) for c in result.converged)
+    manifest["capped_runs"] = ",".join(str(int(c)) for c in result.capped)
     rows = [
         [n, result.mean_gap[i], result.se_gap[i]] for i, n in enumerate(result.ns)
     ]
@@ -488,16 +494,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, KeyError, IndexError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError, IndexError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RuntimeError as exc:
+    except (FloatingPointError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

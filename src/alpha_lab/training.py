@@ -1,8 +1,11 @@
 """Full-batch gradient-descent training and the seeded experiment harness.
 
 ``train_gd`` minimizes the empirical risk with a fixed learning rate,
-projecting onto the parameter ball when a finite radius is set, and
-stops once the gradient norm falls below the optimality parameter.
+projecting onto the parameter ball when a finite radius is set.  It
+stops once the stop statistic falls below the optimality parameter: the
+gradient norm, or, when the projection moved the step, the
+gradient-mapping norm ||theta - P(theta - lr * grad)|| / lr, which
+vanishes at a constrained minimizer on the sphere.
 ``run_synthetic_experiment`` repeats draw/corrupt/train over seeded runs
 for several tuning values, averages the trained linear predictors, and
 reports their angles to the Bayes reference plus balanced-test
@@ -58,6 +61,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """How one training run ended.
+
+    ``grad_norm`` is the stop statistic at the returned iterate: the
+    gradient norm, or the gradient-mapping norm when the projection onto
+    the radius ball moved that iterate's step.  ``iterations`` counts the
+    steps taken before it.
+    """
+
     converged: bool
     iterations: int
     grad_norm: float
@@ -75,69 +86,96 @@ class NumericTrainingError(RuntimeError):
         )
 
 
-def _gd_step_weights(Z: np.ndarray, y: np.ndarray, beta: float) -> np.ndarray:
-    """F1 = -y * sigmoid(z)^(1-beta) * sigmoid(-z).
+def _gd_step_weights(beta: float):
+    """Unsigned F1 weight w(z) = sigmoid(z)^(1-beta) * sigmoid(-z), chosen once per beta.
 
-    For beta <= 1 the direct power of the sigmoid is stable (exponent is
-    nonnegative); for beta > 1 the weight blows up at very negative
-    margins, so it is evaluated in the log domain via
-    softplus(z) = z + softplus(-z).
+    The returned function maps signed margins Z = y * x.theta to w, so the
+    risk gradient is -(w @ A) / n on the signed design A = y * X.  For
+    beta <= 1 the direct power of the sigmoid is stable (exponent is
+    nonnegative) and the exponents 0 and 1 skip the power; for beta > 1
+    the weight blows up at very negative margins, so it is evaluated in
+    the log domain via softplus(z) = z + softplus(-z).
     """
-    if beta <= 1.0:
+    if beta > 1.0:
+        def weights(Z):
+            S = np.logaddexp(0.0, -Z)
+            with np.errstate(over="ignore"):
+                return np.exp(-Z - (2.0 - beta) * S)
+        return weights
+    power = 1.0 - beta
+
+    def weights(Z):
         P = expit(Z)
-        return -y * P ** (1.0 - beta) * (1.0 - P)
-    S = np.logaddexp(0.0, -Z)
-    with np.errstate(over="ignore"):
-        return -y * np.exp(-Z - (2.0 - beta) * S)
+        Q = 1.0 - P
+        if power == 0.0:
+            return Q
+        if power != 1.0:
+            np.power(P, power, out=P)
+        Q *= P
+        return Q
+    return weights
 
 
 def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     """Gradient descent on R stacked datasets of identical shape.
 
-    X is (R, n, d), y is (R, n).  Converged runs are removed from the
-    working batch (and their iterates frozen), so the batched result is
-    bit-identical to training each run alone.
+    X is (R, n, d), y is (R, n) with entries +-1.  Stopped runs are removed
+    from the working batch (and their iterates frozen), so the batched
+    result is bit-identical to training each run alone.  A run stops when
+    its stop statistic is at most the optimality parameter: the gradient
+    norm, or, for a step that the projection onto the radius ball moved,
+    the gradient-mapping norm ||theta - P(theta - lr * grad)|| / lr, which
+    vanishes at a constrained (KKT) minimizer on the sphere.
     """
     R, n, d = X.shape
     a = canon_alpha(config.alpha)
-    beta = 0.0 if np.isinf(a) else 1.0 / a
+    weights = _gd_step_weights(0.0 if np.isinf(a) else 1.0 / a)
     lr = config.learning_rate
     tol = config.optimality_parameter
+    radius = config.radius
+    bounded = bool(np.isfinite(radius))
     theta_out = np.zeros((R, d))
     iterations = np.zeros(R, dtype=int)
     grad_norms = np.full(R, np.inf)
     done = np.zeros(R, dtype=bool)
 
     idx = np.arange(R)  # rows of the working batch -> original run ids
-    Xw, yw = X, y
-    theta = np.zeros((len(idx), d))
+    A = y[:, :, None] * X  # signed design; exact since y is +-1
+    theta = np.zeros((R, d))
     it = 0
     while True:
-        Z = np.matmul(Xw, theta[:, :, None])[:, :, 0] * yw
-        W = _gd_step_weights(Z, yw, beta)
-        grads = np.matmul(W[:, None, :], Xw)[:, 0, :] / n
+        Z = np.matmul(A, theta[:, :, None])[:, :, 0]
+        grads = np.matmul(weights(Z)[:, None, :], A)[:, 0, :]
+        grads /= -n
         gn = np.sqrt((grads * grads).sum(axis=1))
-        if not np.all(np.isfinite(gn)):
+        if not gn.max() < np.inf:
             bad = int(np.flatnonzero(~np.isfinite(gn))[0])
             raise NumericTrainingError(it, theta[bad])
-        newly = gn <= tol
-        stop = newly | (it >= config.max_iterations)
-        if np.any(stop):
+        grads *= lr
+        nxt = theta - grads
+        stat = gn
+        if bounded:
+            norms = np.sqrt((nxt * nxt).sum(axis=1))
+            over = norms > radius
+            if over.any():
+                nxt[over] *= (radius / norms[over])[:, None]
+                moved = theta[over] - nxt[over]
+                stat = gn.copy()
+                stat[over] = np.sqrt((moved * moved).sum(axis=1)) / lr
+        newly = stat <= tol
+        capped = it >= config.max_iterations
+        if capped or newly.any():
+            stop = newly | capped
             rows = idx[stop]
             theta_out[rows] = theta[stop]
             iterations[rows] = it
-            grad_norms[rows] = gn[stop]
+            grad_norms[rows] = stat[stop]
             done[rows] = newly[stop]
             keep = ~stop
-            if not np.any(keep):
+            if not keep.any():
                 break
-            idx, Xw, yw, theta, grads = idx[keep], Xw[keep], yw[keep], theta[keep], grads[keep]
-        theta -= lr * grads
-        if np.isfinite(config.radius):
-            norms = np.linalg.norm(theta, axis=1)
-            over = norms > config.radius
-            if np.any(over):
-                theta[over] *= (config.radius / norms[over])[:, None]
+            idx, A, nxt = idx[keep], A[keep], nxt[keep]
+        theta = nxt
         it += 1
     reports = [
         ConvergenceReport(
@@ -152,7 +190,13 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
 
 
 def train_gd(data: LabeledDataset, config: TrainConfig):
-    """Train one dataset to convergence; returns (ParamVector, report)."""
+    """Train one dataset to convergence; returns (ParamVector, report).
+
+    Stops when the gradient norm, or for a projected step the
+    gradient-mapping norm, is at most ``optimality_parameter`` (cause
+    "gradient_tolerance"), else after ``max_iterations`` steps (cause
+    "max_iterations").
+    """
     if data.n == 0:
         raise ValueError("empty dataset")
     theta, reports = _batched_gd(data.X[None], data.y[None].astype(float), config)

@@ -93,6 +93,7 @@ def test_optimality_trend_near_separable_sanity():
     cfg = TrainConfig(max_iterations=3000)
     trend = optimality_trend(spec, 1.0, n_grid=[400], runs=3, config=cfg, seed=5)
     assert trend.mean_gap[0] <= 1e-2
+    assert trend.converged[0] + trend.capped[0] == 3
     assert trend.bayes == pytest.approx(norm.sf(np.sqrt(18.0) / 0.1), abs=1e-12)
 
 

@@ -113,8 +113,10 @@ def test_synth_single_run_determinism(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert body_bytes(out1 / "summary.csv") == body_bytes(out2 / "summary.csv")
     assert body_bytes(out1 / "predictors.csv") == body_bytes(out2 / "predictors.csv")
-    _, header, rows = read_csv(out1 / "summary.csv")
+    comments, header, rows = read_csv(out1 / "summary.csv")
     assert header[0] == "alpha" and len(rows) == 1
+    _, _, runs = read_csv(out1 / "predictors.csv")
+    assert f"# converged_runs: {runs[0][2]}" in comments
 
 
 def test_synth_unknown_scenario(tmp_path):
@@ -184,6 +186,10 @@ def test_trend_subcommand(tmp_path):
     assert len(rows) == 2
     assert any("bayes_risk" in c for c in comments)
     assert any("conditional" in c for c in comments)
+    manifest = dict(c[2:].split(": ", 1) for c in comments)
+    converged = [int(v) for v in manifest["converged_runs"].split(",")]
+    capped = [int(v) for v in manifest["capped_runs"].split(",")]
+    assert len(converged) == 2 and [c + k for c, k in zip(converged, capped)] == [3, 3]
 
 
 def test_slqc_audit_small(tmp_path):
@@ -196,6 +202,10 @@ def test_slqc_audit_small(tmp_path):
     assert rc == 0
     comments, header, rows = read_csv(out)
     assert any("violations: 0" in c for c in comments)
+    manifest = dict(c[2:].split(": ", 1) for c in comments)
+    assert manifest["theta0_converged"] in ("true", "false")
+    assert int(manifest["theta0_iterations"]) >= 0
+    assert float(manifest["theta0_stop_statistic"]) >= 0.0
     verdict_col = header.index("verdict")
     verdicts = {row[verdict_col] for row in rows}
     assert "fails" not in verdicts

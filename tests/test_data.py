@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from alpha_lab.datasets import (
     sample_balanced_gmm,
     sample_gmm,
 )
+from alpha_lab.logistic import risk_gradient
 from alpha_lab.training import (
     TrainConfig,
+    _batched_gd,
     angle_between,
     landscape_grid,
     lattice_strict_local_minima,
@@ -23,6 +27,8 @@ from alpha_lab.training import (
     single_basin,
     train_gd,
 )
+
+from oracles import seed_batched_gd
 
 SYMMETRIC = GmmSpec.symmetric()
 
@@ -134,6 +140,49 @@ def test_train_gd_projection_respects_radius():
     data = sample_gmm(SYMMETRIC, 100, seed=13)
     theta, _ = train_gd(data, TrainConfig(alpha=1.0, radius=0.2, max_iterations=2000))
     assert np.linalg.norm(theta.theta) <= 0.2 + 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 100, 2), (4, 100, 2), (2, 500, 3)])
+def test_batched_gd_bit_identical_to_seed_loop(shape):
+    R, n, d = shape
+    rng = np.random.default_rng(R * n * d)
+    X = 0.7 * rng.normal(size=shape)
+    y = np.where(rng.random((R, n)) < 0.4, -1.0, 1.0)
+    for alpha in (0.65, 1.0, 4.0, np.inf):
+        # a long step and a loose tolerance mix converged and capped runs
+        cfg = TrainConfig(
+            alpha=alpha, learning_rate=0.3, optimality_parameter=1e-3, max_iterations=400
+        )
+        ref_theta, ref_iters, ref_norms, ref_causes = seed_batched_gd(
+            X, y, alpha, cfg.learning_rate, cfg.optimality_parameter, cfg.max_iterations
+        )
+        theta, reports = _batched_gd(X, y, cfg)
+        assert np.array_equal(theta, ref_theta)
+        assert np.array_equal([r.iterations for r in reports], ref_iters)
+        assert np.array_equal([r.grad_norm for r in reports], ref_norms)
+        assert [r.cause for r in reports] == list(ref_causes)
+        # a radius the iterates never reach changes nothing
+        far, far_reports = _batched_gd(X, y, replace(cfg, radius=50.0))
+        assert np.array_equal(far, theta) and far_reports == reports
+        # each run trained alone equals its row of the batch
+        for r in range(R):
+            alone, (rep,) = _batched_gd(X[r : r + 1], y[r : r + 1], cfg)
+            assert np.array_equal(alone[0], theta[r]) and rep == reports[r]
+
+
+def test_projected_gd_stops_at_kkt_point():
+    data = sample_gmm(SYMMETRIC, 500, seed=(0, 11), normalize=True)
+    cfg = TrainConfig(alpha=1.0, radius=0.2)
+    theta, report = train_gd(data, cfg)
+    assert report.converged and report.cause == "gradient_tolerance"
+    assert report.iterations < 5000
+    assert report.grad_norm <= cfg.optimality_parameter
+    assert abs(np.linalg.norm(theta.theta) - 0.2) <= 1e-12
+    # -grad points out of the ball and its tangential part is near zero
+    descent = -risk_gradient(theta.theta, data, 1.0)
+    u = theta.theta / np.linalg.norm(theta.theta)
+    assert descent @ u > 0.0
+    assert np.linalg.norm(descent - (descent @ u) * u) <= 2.0 * cfg.optimality_parameter
 
 
 def test_bayes_direction_closed_form():
