@@ -71,6 +71,7 @@ from .slqc import (
     bootstrap_sequences,
     bootstrap_slqc,
     check_slqc_at,
+    check_slqc_points,
     evolve_slqc,
     ngd,
     ngd_iteration_bound,

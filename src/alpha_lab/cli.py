@@ -12,8 +12,8 @@ trend       excess 0-1 risk of trained predictors across sample sizes
 Every output CSV starts with '#'-prefixed manifest comments (subcommand,
 config, seed, version, timestamp).  Bodies are deterministic under a
 fixed seed; timestamps live only in the comments.  Exit codes: 0 success,
-2 configuration error, 3 numeric failure, 4 audit violation under
---strict.
+2 configuration error, 3 numeric failure (including np.linalg.LinAlgError),
+4 audit violation under --strict.
 """
 
 from __future__ import annotations
@@ -217,6 +217,7 @@ def cmd_synth(args) -> int:
     manifest = _manifest(args, "synth", args.scenario)
     manifest["runs"] = args.runs
     manifest["converged_runs"] = ",".join(str(int(c)) for c in summary.run_converged.sum(axis=1))
+    manifest["capped_runs"] = ",".join(str(int(c)) for c in (~summary.run_converged).sum(axis=1))
     rows = [
         [
             _fmt(a),
@@ -252,17 +253,28 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _floor_grid(alpha0) -> List[float]:
+    """Tuning grid {alpha0, alpha0 + 0.25, ..., 64, inf} of the gradient floor."""
+    return list(np.arange(alpha0, 64.0 + 1e-9, 0.25)) + [np.inf]
+
+
 def _gradient_floor(thetas, data, alpha0) -> np.ndarray:
     """Caller-audited lower bound on the gradient norm over alpha' >= alpha0.
 
-    Minimum over the tuning grid {alpha0, alpha0 + 0.25, ..., 64, inf}
-    with a 5% safety margin, per theta.
+    Minimum over the tuning grid of ``_floor_grid`` with a 5% safety
+    margin, per theta.
     """
-    grid = list(np.arange(alpha0, 64.0 + 1e-9, 0.25)) + [np.inf]
-    norms = np.stack([
-        np.linalg.norm(logistic.risk_gradient_batch(thetas, data, a), axis=1) for a in grid
-    ])
-    return 0.95 * norms.min(axis=0)
+    grads = logistic.risk_gradients(thetas, data, _floor_grid(alpha0))
+    return 0.95 * np.linalg.norm(grads, axis=2).min(axis=0)
+
+
+def _check_certificates(oracle, thetas, theta0, certs) -> Dict[int, slqc.SlqcCheck]:
+    """Verdicts {i: check} of the certificates {i: (eps, kappa)} at thetas[i], in one batch."""
+    if not certs:
+        return {}
+    idx = list(certs)
+    eps, kappa = np.array([certs[i] for i in idx]).T
+    return dict(zip(idx, slqc.check_slqc_points(oracle, thetas[idx], theta0, eps, eps / kappa)))
 
 
 def cmd_slqc_audit(args) -> int:
@@ -280,45 +292,50 @@ def cmd_slqc_audit(args) -> int:
 
     grad0 = np.linalg.norm(logistic.risk_gradient_batch(thetas, data, alpha0), axis=1)
     g_floor = _gradient_floor(thetas, data, alpha0)
+    L = [logistic.alpha_lipschitz_risk(th) for th in thetas]
+    J = [logistic.alpha_lipschitz_gradient(th) for th in thetas]
     rows = []
     violations = 0
+    descent_checks = []
     for target in targets:
-        oracle = slqc.risk_oracle(data, target, validate=False) if np.isfinite(target) else None
-        for i, th in enumerate(thetas):
-            L = logistic.alpha_lipschitz_risk(th)
-            J = logistic.alpha_lipschitz_gradient(th)
-            # single-step evolution
-            verdict, eps_s, kappa_s, sup, detail = "range_exceeded", "", "", "", ""
+        # per-theta certificates {i: (eps, kappa)}: single-step evolution,
+        # and the bootstrapped reach toward the same target
+        evolved, booted = {}, {}
+        sups = [""] * len(thetas)
+        for i in range(len(thetas)):
             try:
-                eps, kappa = slqc.evolve_slqc(
-                    alpha0, args.eps0, kappa0, grad0[i], L, J, args.radius, target
+                evolved[i] = slqc.evolve_slqc(
+                    alpha0, args.eps0, kappa0, grad0[i], L[i], J[i], args.radius, target
                 )
-                check = slqc.check_slqc_at(
-                    oracle, th, slqc.SlqcCertificate(eps, kappa, theta0.theta)
-                )
-                violations += check.verdict is slqc.Verdict.FAILS
-                verdict, eps_s, kappa_s, detail = check.verdict.value, eps, kappa, check.detail
             except slqc.RangeExceeded as exc:
-                sup = exc.admissible_sup
-            # bootstrapped reach toward the same target
-            boot_verdict, boot_eps, boot_kappa = "range_exceeded", "", ""
+                sups[i] = exc.admissible_sup
             if g_floor[i] > 0.0 and np.isfinite(target):
-                lam = (target - alpha0) * J * (1.0 + 2.0 * args.radius / rho0) / (
+                lam = (target - alpha0) * J[i] * (1.0 + 2.0 * args.radius / rho0) / (
                     alpha0**2 * g_floor[i]
                 )
                 if 0.0 < lam < 1.0:
                     _, eps_b, rho_lb = slqc.bootstrap_slqc(
-                        alpha0, args.eps0, kappa0, g_floor[i], L, J, args.radius, lam
+                        alpha0, args.eps0, kappa0, g_floor[i], L[i], J[i], args.radius, lam
                     )
-                    boot_cert = slqc.SlqcCertificate(eps_b, eps_b / rho_lb, theta0.theta)
-                    bcheck = slqc.check_slqc_at(oracle, th, boot_cert)
-                    violations += bcheck.verdict is slqc.Verdict.FAILS
-                    boot_verdict, boot_eps, boot_kappa = (
-                        bcheck.verdict.value, eps_b, eps_b / rho_lb
-                    )
+                    booted[i] = (eps_b, eps_b / rho_lb)
+        oracle = slqc.risk_oracle(data, target, validate=False) if np.isfinite(target) else None
+        ev_checks = _check_certificates(oracle, thetas, theta0.theta, evolved)
+        boot_checks = _check_certificates(oracle, thetas, theta0.theta, booted)
+        done = [*ev_checks.values(), *boot_checks.values()]
+        violations += sum(c.verdict is slqc.Verdict.FAILS for c in done)
+        descent_checks.append(sum(c.grad_norm is not None for c in done))
+        for i in range(len(thetas)):
+            verdict, eps_s, kappa_s, rho_s, detail = "range_exceeded", "", "", "", ""
+            if i in evolved:
+                eps_s, kappa_s = evolved[i]
+                rho_s = eps_s / kappa_s
+                verdict, detail = ev_checks[i].verdict.value, ev_checks[i].detail
+            boot_verdict, boot_eps, boot_kappa = "range_exceeded", "", ""
+            if i in booted:
+                boot_verdict = boot_checks[i].verdict.value
+                boot_eps, boot_kappa = booted[i]
             rows.append([
-                _fmt(target), i, verdict, eps_s, kappa_s,
-                (eps_s / kappa_s) if eps_s != "" else "", sup,
+                _fmt(target), i, verdict, eps_s, kappa_s, rho_s, sups[i],
                 boot_verdict, boot_eps, boot_kappa, detail,
             ])
     manifest = _manifest(args, "slqc-audit", args.gmm)
@@ -328,6 +345,8 @@ def cmd_slqc_audit(args) -> int:
     manifest["theta0_converged"] = _fmt(report0.converged)
     manifest["theta0_iterations"] = report0.iterations
     manifest["theta0_stop_statistic"] = _fmt(report0.grad_norm)
+    manifest["gradient_floor_alphas"] = len(_floor_grid(alpha0))
+    manifest["descent_checks"] = ",".join(str(c) for c in descent_checks)
     manifest["violations"] = violations
     write_csv(
         args.out,
@@ -494,12 +513,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # LinAlgError subclasses ValueError, so its arm must come first
+    except (FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ConfigError, ValueError, KeyError, IndexError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FloatingPointError, RuntimeError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -131,17 +131,21 @@ def population_alpha_risk(theta, alpha, spec: GmmSpec, n_samples: int, seed, nor
     return risk_with_se(theta, pool, alpha)
 
 
-def _grad_weights(alpha: float, z: np.ndarray) -> np.ndarray:
-    # |F1| = g(z)^(1-1/alpha) * g(-z), evaluated in the log domain
+def _log_sigmoid_pair(z: np.ndarray):
+    """(log g(z), log g(-z)): the alpha-free part of the F1 and F2 weights."""
+    return log_sigmoid(z), log_sigmoid(-z)
+
+
+def _grad_weights(alpha: float, lp: np.ndarray, lm: np.ndarray) -> np.ndarray:
+    # |F1| = g(z)^(1-1/alpha) * g(-z), from (lp, lm) = _log_sigmoid_pair(z)
     b = 0.0 if np.isinf(alpha) else 1.0 / alpha
     with np.errstate(over="ignore"):
-        return np.exp((1.0 - b) * log_sigmoid(z) + log_sigmoid(-z))
+        return np.exp((1.0 - b) * lp + lm)
 
 
 def _curv_weights(alpha: float, z: np.ndarray) -> np.ndarray:
     b = 0.0 if np.isinf(alpha) else 1.0 / alpha
-    with np.errstate(over="ignore"):
-        scale = np.exp((1.0 - b) * log_sigmoid(z) + log_sigmoid(-z))
+    scale = _grad_weights(alpha, *_log_sigmoid_pair(z))
     return scale * (expit(z) - (1.0 - b) * expit(-z))
 
 
@@ -150,18 +154,31 @@ def risk_gradient(theta, data, alpha) -> np.ndarray:
     a = canon_alpha(alpha)
     X, y = _as_xy(data)
     z = margins(theta, X, y)
-    f1 = -y * _grad_weights(a, z)
+    f1 = -y * _grad_weights(a, *_log_sigmoid_pair(z))
     return (X.T @ f1) / X.shape[0]
+
+
+def risk_gradients(thetas, data, alphas) -> np.ndarray:
+    """Gradients at many parameter vectors for each of several tuning values.
+
+    Returns shape (len(alphas), len(thetas), d).  The log-sigmoid pair of
+    the margins does not depend on alpha, so it is computed once; only the
+    weight exponent and the matmul run per alpha.
+    """
+    alphas = [canon_alpha(a) for a in alphas]
+    X, y = _as_xy(data)
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    lp, lm = _log_sigmoid_pair((X @ thetas.T) * y[:, None])
+    out = np.empty((len(alphas), thetas.shape[0], X.shape[1]))
+    for k, a in enumerate(alphas):
+        F1 = -y[:, None] * _grad_weights(a, lp, lm)
+        out[k] = (X.T @ F1).T / X.shape[0]
+    return out
 
 
 def risk_gradient_batch(thetas, data, alpha) -> np.ndarray:
     """Gradients at many parameter vectors at once; rows index thetas."""
-    a = canon_alpha(alpha)
-    X, y = _as_xy(data)
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    Z = (X @ thetas.T) * y[:, None]
-    F1 = -y[:, None] * _grad_weights(a, Z)
-    return (X.T @ F1).T / X.shape[0]
+    return risk_gradients(thetas, data, [alpha])[0]
 
 
 def risk_batch(thetas, data, alpha) -> np.ndarray:

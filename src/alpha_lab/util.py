@@ -1,4 +1,4 @@
-"""Shared plumbing: seeding, threads, stable log-sigmoid helpers."""
+"""Shared plumbing: seeding, stable log-sigmoid helpers."""
 
 from __future__ import annotations
 
@@ -23,9 +23,11 @@ def derive_rng(*keys: int) -> np.random.Generator:
 
 
 def thread_count() -> int:
-    """Worker cap for internally parallel sweeps.
+    """Reads ALPHA_LAB_THREADS; falls back to the machine core count.
 
-    Reads ALPHA_LAB_THREADS; falls back to the machine core count.
+    No library code uses it since the certificate sweep became serial;
+    ``bench/run.py`` still reports it.  Remove it, and the variable, with
+    the benchmark's next revision.
     """
     raw = os.environ.get("ALPHA_LAB_THREADS", "")
     if raw.strip():

@@ -112,3 +112,30 @@ def seed_batched_gd(X, y, alpha, learning_rate=0.01, optimality_parameter=1e-4,
         it += 1
     causes = np.where(done, "gradient_tolerance", "max_iterations")
     return theta_out, iterations, grad_norms, causes
+
+
+def seed_risk_gradient_batch(thetas, X, y, alpha):
+    """Frozen copy of the original batched risk gradient (rows index thetas).
+
+    Recomputes log sigmoid(+-z) = -log(1 + exp(-+z)) on every call.
+    """
+    beta = 0.0 if np.isinf(alpha) else 1.0 / alpha
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    Z = (X @ thetas.T) * y[:, None]
+    with np.errstate(over="ignore"):
+        W = np.exp((1.0 - beta) * -np.logaddexp(0.0, -Z) + -np.logaddexp(0.0, Z))
+    F1 = -y[:, None] * W
+    return (X.T @ F1).T / X.shape[0]
+
+
+def seed_gradient_floor(thetas, X, y, alpha0):
+    """Frozen copy of the original slqc-audit gradient floor.
+
+    0.95 times the smallest gradient norm over alpha in {alpha0,
+    alpha0 + 0.25, ..., 64, inf}, one full gradient evaluation per alpha.
+    """
+    grid = list(np.arange(alpha0, 64.0 + 1e-9, 0.25)) + [np.inf]
+    norms = np.stack([
+        np.linalg.norm(seed_risk_gradient_batch(thetas, X, y, a), axis=1) for a in grid
+    ])
+    return 0.95 * norms.min(axis=0)

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from alpha_lab import cli
 from alpha_lab.cli import main
+from alpha_lab.datasets import GmmSpec, sample_gmm
+from alpha_lab.slqc import SlqcCertificate, check_slqc_at, risk_oracle, sample_audit_points
+from alpha_lab.training import TrainConfig, train_gd
+
+from oracles import seed_gradient_floor
 
 
 def read_csv(path):
@@ -117,6 +123,7 @@ def test_synth_single_run_determinism(tmp_path):
     assert header[0] == "alpha" and len(rows) == 1
     _, _, runs = read_csv(out1 / "predictors.csv")
     assert f"# converged_runs: {runs[0][2]}" in comments
+    assert f"# capped_runs: {1 - int(runs[0][2])}" in comments
 
 
 def test_synth_unknown_scenario(tmp_path):
@@ -206,12 +213,71 @@ def test_slqc_audit_small(tmp_path):
     assert manifest["theta0_converged"] in ("true", "false")
     assert int(manifest["theta0_iterations"]) >= 0
     assert float(manifest["theta0_stop_statistic"]) >= 0.0
+    assert int(manifest["gradient_floor_alphas"]) == 254  # 1, 1.25, ..., 64 and inf
     verdict_col = header.index("verdict")
     verdicts = {row[verdict_col] for row in rows}
     assert "fails" not in verdicts
     # the far target is inadmissible at every point
     far = [row for row in rows if row[0] == "50"]
     assert far and all(row[verdict_col] == "range_exceeded" for row in far)
+    assert manifest["descent_checks"] == "0,0"
+    assert recheck_audit_rows(header, rows, n=200, samples=24, radius=1.0, seed=3) == {}
+    # a small radius and eps0 admit evolved and bootstrapped certificates
+    # that need the descent condition
+    rc = main([
+        "slqc-audit", "--gmm", gmm, "--alpha0", "1", "--targets", "1.0002,1.001",
+        "--samples", "24", "--n", "200", "--radius", "0.2", "--eps0", "0.005", "--seed", "3",
+        "--out", str(out), "--strict",
+    ])
+    assert rc == 0
+    comments, header, rows = read_csv(out)
+    manifest = dict(c[2:].split(": ", 1) for c in comments)
+    descent = recheck_audit_rows(header, rows, n=200, samples=24, radius=0.2, seed=3)
+    assert descent["1.0002"] > 0 and descent["1.0009999999999999"] > 0
+    assert manifest["descent_checks"] == f"{descent['1.0002']},{descent['1.0009999999999999']}"
+    assert {row[verdict_col] for row in rows} >= {"condition1", "condition2"}
+
+
+def recheck_audit_rows(header, rows, n, samples, radius, seed):
+    """Check each row's certificates pointwise; returns descent checks per target."""
+    spec = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
+    data = sample_gmm(spec, n, seed=(seed, 11), normalize=True)
+    theta0, _ = train_gd(data, TrainConfig(alpha=1.0, radius=radius, seed=seed))
+    thetas = sample_audit_points(2, radius, samples, seed=(seed, 12))
+    col = {name: header.index(name) for name in header}
+    descent = {}
+    for row in rows:
+        oracle = risk_oracle(data, float(row[0]), validate=False)
+        for verdict, eps, kappa in (("verdict", "eps", "kappa"),
+                                    ("boot_verdict", "boot_eps", "boot_kappa")):
+            if row[col[verdict]] == "range_exceeded":
+                continue
+            cert = SlqcCertificate(float(row[col[eps]]), float(row[col[kappa]]), theta0.theta)
+            check = check_slqc_at(oracle, thetas[int(row[1])], cert)
+            assert check.verdict.value == row[col[verdict]]
+            descent[row[0]] = descent.get(row[0], 0) + (check.grad_norm is not None)
+    return descent
+
+
+def test_gradient_floor_bit_identical_to_seed_form():
+    spec = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
+    for seed in range(3):
+        data = sample_gmm(spec, 500, seed=(seed, 11), normalize=True)
+        for radius in (0.2, 1.0):
+            thetas = sample_audit_points(2, radius, 32, seed=(seed, 12))
+            for alpha0 in (1.0, 1.5):
+                ref = seed_gradient_floor(thetas, data.X, data.y.astype(float), alpha0)
+                assert np.array_equal(cli._gradient_floor(thetas, data, alpha0), ref)
+
+
+def test_linalg_error_is_numeric_failure(tmp_path, monkeypatch, capsys):
+    def singular(args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "cmd_tilt", singular)
+    rc = main(["tilt", "--pmf", "binomial:4,0.3", "--alphas", "1", "--out", str(tmp_path / "t.csv")])
+    assert rc == 3
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_alpha_literal_inf(tmp_path):

@@ -13,6 +13,7 @@ from alpha_lab.logistic import (
     risk_batch,
     risk_gradient,
     risk_gradient_batch,
+    risk_gradients,
     risk_hessian,
     risk_report,
     small_radius_admissible_alpha,
@@ -23,7 +24,7 @@ from alpha_lab.logistic import (
 )
 from alpha_lab.losses import margin_loss_second_derivative, sigmoid
 
-from oracles import central_diff_grad, central_diff_hessian
+from oracles import central_diff_grad, central_diff_hessian, seed_risk_gradient_batch
 
 ALPHAS = [0.5, 0.8, 1.0, 1.44, 2.0, 8.0, np.inf]
 
@@ -266,6 +267,21 @@ def test_risk_report_and_batches():
     for i, t in enumerate(thetas):
         assert risks[i] == pytest.approx(empirical_alpha_risk(t, (X, y), 2.0), rel=1e-12)
         assert np.allclose(grads[i], risk_gradient(t, (X, y), 2.0), atol=1e-15)
+
+
+def test_risk_gradient_batch_bit_identical_to_seed_form():
+    # the log-sigmoid pair computed once for all alphas changes no bit
+    rng = np.random.default_rng(905)
+    data = sample_gmm(GmmSpec.symmetric(), 500, seed=906, normalize=True)
+    X, y = data.X, data.y.astype(float)
+    alphas = (0.7, 1.0, 4.0, np.inf)
+    for m, scale in ((128, 1.0), (7, 40.0), (1, 3.0)):
+        thetas = scale * rng.uniform(-1.0, 1.0, size=(m, 2))
+        together = risk_gradients(thetas, data, alphas)
+        for k, alpha in enumerate(alphas):
+            ref = seed_risk_gradient_batch(thetas, X, y, alpha)
+            assert np.array_equal(risk_gradient_batch(thetas, data, alpha), ref)
+            assert np.array_equal(together[k], ref)
 
 
 def test_population_risk_sampler():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alpha_lab.datasets import GmmSpec, sample_gmm
 from alpha_lab.logistic import (
@@ -10,6 +12,7 @@ from alpha_lab.logistic import (
     theta_lipschitz_constant,
 )
 from alpha_lab.slqc import (
+    AUDIT_BLOCK_ELEMENTS,
     NgdConfig,
     OracleFunction,
     RangeExceeded,
@@ -19,6 +22,7 @@ from alpha_lab.slqc import (
     bootstrap_sequences,
     bootstrap_slqc,
     check_slqc_at,
+    check_slqc_points,
     evolve_slqc,
     ngd,
     ngd_iteration_bound,
@@ -320,3 +324,72 @@ def test_end_to_end_evolution_recheck():
         assert res.verdict is not Verdict.FAILS
         checked += 1
     assert checked >= 50
+
+
+AUDIT_DATA = sample_gmm(GmmSpec.symmetric(), 500, seed=41, normalize=True)
+AUDIT_BLOCK = AUDIT_BLOCK_ELEMENTS // AUDIT_DATA.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.sampled_from([0.7, 1.0, 1.003, 4.0, np.inf]),
+    count=st.sampled_from([1, AUDIT_BLOCK - 1, AUDIT_BLOCK, AUDIT_BLOCK + 1]),
+    theta0=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    epsilon=st.floats(1e-4, 0.3),
+    per_point=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_verdicts_match_pointwise(alpha, count, theta0, epsilon, per_point, seed):
+    # blocks of the batched oracle, masks and per-point certificates give
+    # the verdicts of one check_slqc_at call per point, and of the serial
+    # fallback without batch evaluators; the wide kappa range reaches all
+    # three verdicts and both failure modes
+    rng = np.random.default_rng(seed)
+    theta0 = np.array(theta0)
+    thetas = rng.uniform(-6.0, 6.0, size=(count, 2))
+    oracle = risk_oracle(AUDIT_DATA, alpha, validate=False)
+    serial = OracleFunction(oracle.value, oracle.grad, 2, check_points=0)
+    if per_point:
+        eps = epsilon * rng.uniform(0.1, 10.0, count)
+        kappa = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), count))
+        certs = [SlqcCertificate(e, k, theta0) for e, k in zip(eps, kappa)]
+        checks = check_slqc_points(oracle, thetas, theta0, eps, eps / kappa)
+        serial_checks = check_slqc_points(serial, thetas, theta0, eps, eps / kappa)
+    else:
+        kappa = np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))
+        certs = [SlqcCertificate(epsilon, kappa, theta0)] * count
+        checks = audit_certificate(oracle, certs[0], thetas).checks
+        serial_checks = audit_certificate(serial, certs[0], thetas).checks
+    assert len(checks) == len(serial_checks) == count
+    for th, cert, batched, slow in zip(thetas, certs, checks, serial_checks):
+        ref = check_slqc_at(oracle, th, cert)
+        for got in (batched, slow):
+            assert got.verdict is ref.verdict
+            assert abs(got.value_gap - ref.value_gap) <= 1e-12
+            assert got.distance == ref.distance and got.rho == ref.rho
+            assert (got.grad_norm is None) == (ref.grad_norm is None)
+            assert got.detail == ref.detail
+
+
+def test_batched_check_rejects_bad_certificates():
+    f = quadratic_oracle(np.zeros(2), 2)
+    thetas = np.zeros((3, 2))
+    with pytest.raises(ValueError):
+        check_slqc_points(f, thetas, np.zeros(3), 0.1, 0.1)
+    with pytest.raises(ValueError):
+        check_slqc_points(f, thetas, np.zeros(2), np.array([0.1, -0.1, 0.1]), 0.1)
+    with pytest.raises(ValueError):
+        check_slqc_points(f, thetas, np.zeros(2), 0.1, np.zeros(3))
+
+
+def test_vanishing_gradient_fails_in_batch():
+    f = OracleFunction(
+        value=lambda t: float(t @ t), grad=lambda t: np.zeros_like(t), dim=2, check_points=0
+    )
+    cert = SlqcCertificate(0.01, 1.0, np.zeros(2))  # rho = 0.01
+    thetas = np.array([[0.05, 0.0], [1.0, 0.0], [0.001, 0.0]])
+    checks = check_slqc_points(f, thetas, cert.theta0, cert.epsilon, cert.rho)
+    assert [c.verdict for c in checks] == [Verdict.CONDITION_1, Verdict.FAILS, Verdict.CONDITION_1]
+    assert checks[1].grad_norm == 0.0 and checks[1].inner_product is None
+    assert "gradient vanishes" in checks[1].detail
+    assert checks == [check_slqc_at(f, t, cert) for t in thetas]
