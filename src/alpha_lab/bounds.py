@@ -16,13 +16,13 @@ three standard errors from the measured side before comparing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import logistic
 from .datasets import GmmSpec, bayes_risk, gaussian_linear_error, sample_gmm
-from .losses import canon_alpha, loss_sup_bound, margin_alpha_loss, margin_lipschitz_constant
+from .losses import canon_alpha, loss_sup_bound, margin_alpha_losses, margin_lipschitz_constant
 from .training import TrainConfig, _batched_gd
 from .util import derive_rng, softplus
 
@@ -83,20 +83,27 @@ def _ball_points(dim: int, radius: float, count: int, seed) -> np.ndarray:
     return u * radii[:, None]
 
 
-def _population_risks(thetas: np.ndarray, spec: GmmSpec, alpha, pop_n: int, seed, chunk: int = 50_000):
-    """Chunked Monte-Carlo population risk and its standard error per theta."""
-    m = thetas.shape[0]
-    total = np.zeros(m)
-    total_sq = np.zeros(m)
+def _population_risks(thetas: np.ndarray, spec: GmmSpec, alphas, pop_n: int, seed, chunk: int = 50_000):
+    """Chunked Monte-Carlo population risks and their standard errors.
+
+    Rows index ``alphas`` and columns index ``thetas``.  Each chunk of the
+    pool is drawn once, and its margins and their softplus are computed
+    once for every alpha.
+    """
+    total = np.zeros((len(alphas), thetas.shape[0]))
+    total_sq = np.zeros_like(total)
     seen = 0
     block = 0
     while seen < pop_n:
         k = min(chunk, pop_n - seen)
         pool = sample_gmm(spec, k, seed=(*seed, block), normalize=True)
-        Z = (pool.X @ thetas.T) * pool.y[:, None].astype(float)
-        vals = margin_alpha_loss(alpha, Z)
-        total += vals.sum(axis=0)
-        total_sq += (vals**2).sum(axis=0)
+        Z = pool.X @ thetas.T
+        np.multiply(Z, pool.y[:, None], out=Z)
+        buf = np.empty_like(Z)
+        for i, vals in enumerate(margin_alpha_losses(alphas, Z, out=buf)):
+            total[i] += vals.sum(axis=0)
+            total_sq[i] += np.square(vals, out=buf).sum(axis=0)
+        del Z, buf  # freed before the next chunk allocates its own
         seen += k
         block += 1
     mean = total / seen
@@ -116,6 +123,69 @@ class GeneralizationAudit:
     pass_fraction: float
 
 
+def population_groups(queries: Sequence[BoundQuery]) -> Dict[Tuple[int, float], List[int]]:
+    """Query indices by (d, r): the queries of one group share one population pass.
+
+    The audited parameter vectors depend only on the ball, and the pool
+    only on the mixture, its size and the seed.
+    """
+    groups: Dict[Tuple[int, float], List[int]] = {}
+    for i, q in enumerate(queries):
+        groups.setdefault((q.d, float(q.r)), []).append(i)
+    return groups
+
+
+def _run_audits(spec, jobs, trials, n_theta, pop_n, seed) -> List[GeneralizationAudit]:
+    """One audit per (query, population alpha, bound) job, in job order.
+
+    Each trial compares the empirical risk at the query's alpha with the
+    population risk at the job's alpha, both over the same parameter
+    vectors; one Monte-Carlo pass per (d, r) group serves all its jobs.
+    """
+    for name, value in (("trials", trials), ("n_theta", n_theta), ("pop_n", pop_n)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    audits: List[Optional[GeneralizationAudit]] = [None] * len(jobs)
+    for (d, r), members in population_groups([q for q, _, _ in jobs]).items():
+        if d != spec.dim:
+            raise ValueError(f"query dimension d={d} differs from the mixture's {spec.dim}")
+        thetas = _ball_points(d, r, n_theta, (seed, _STREAM_THETA))
+        pop_alphas = list(dict.fromkeys(canon_alpha(jobs[i][1]) for i in members))
+        pop, pop_se = _population_risks(thetas, spec, pop_alphas, pop_n, (seed, _STREAM_POP))
+        for i in members:
+            q, pop_alpha, bound = jobs[i]
+            k = pop_alphas.index(canon_alpha(pop_alpha))
+            measured = np.zeros(trials)
+            for t in range(trials):
+                data = sample_gmm(spec, q.n, seed=(seed, _STREAM_TRIAL, t), normalize=True)
+                emp = logistic.risk_batch(thetas, data, q.alpha)
+                measured[t] = np.max(np.abs(emp - pop[k]) - 3.0 * pop_se[k])
+            passed = measured <= bound
+            audits[i] = GeneralizationAudit(q.alpha, bound, measured, passed, float(passed.mean()))
+    return audits
+
+
+def audit_generalizations(
+    spec: GmmSpec,
+    queries: Sequence[BoundQuery],
+    trials: int,
+    n_theta: int = 200,
+    pop_n: int = 1_000_000,
+    seed: int = 0,
+) -> List[GeneralizationAudit]:
+    """Measure sup_theta |empirical - population risk| for each query.
+
+    Features are mapped to the unit box (the bound's contract).  Each
+    trial draws a fresh n-sample dataset; the population side is one
+    shared Monte-Carlo estimate with per-theta standard errors, and three
+    standard errors of slack are subtracted from the measured gap.
+    Queries sharing (d, r) share one population pool.  Returns one audit
+    per query, in query order.
+    """
+    jobs = [(q, q.alpha, rademacher_bound(q)) for q in queries]
+    return _run_audits(spec, jobs, trials, n_theta, pop_n, seed)
+
+
 def audit_generalization(
     spec: GmmSpec,
     query: BoundQuery,
@@ -124,23 +194,8 @@ def audit_generalization(
     pop_n: int = 1_000_000,
     seed: int = 0,
 ) -> GeneralizationAudit:
-    """Measure sup_theta |empirical - population risk| over seeded trials.
-
-    Features are mapped to the unit box (the bound's contract).  Each
-    trial draws a fresh n-sample dataset; the population side is one
-    shared Monte-Carlo estimate with per-theta standard errors, and three
-    standard errors of slack are subtracted from the measured gap.
-    """
-    thetas = _ball_points(query.d, query.r, n_theta, (seed, _STREAM_THETA))
-    pop, pop_se = _population_risks(thetas, spec, query.alpha, pop_n, (seed, _STREAM_POP))
-    bound = rademacher_bound(query)
-    measured = np.zeros(trials)
-    for t in range(trials):
-        data = sample_gmm(spec, query.n, seed=(seed, _STREAM_TRIAL, t), normalize=True)
-        emp = logistic.risk_batch(thetas, data, query.alpha)
-        measured[t] = np.max(np.abs(emp - pop) - 3.0 * pop_se)
-    passed = measured <= bound
-    return GeneralizationAudit(query.alpha, bound, measured, passed, float(passed.mean()))
+    """``audit_generalizations`` for one query."""
+    return audit_generalizations(spec, [query], trials, n_theta, pop_n, seed)[0]
 
 
 def audit_uniform_discrepancy(
@@ -152,16 +207,8 @@ def audit_uniform_discrepancy(
     seed: int = 0,
 ) -> GeneralizationAudit:
     """Measure sup_theta |empirical risk at alpha - population risk at inf|."""
-    thetas = _ball_points(query.d, query.r, n_theta, (seed, _STREAM_THETA))
-    pop_inf, pop_se = _population_risks(thetas, spec, np.inf, pop_n, (seed, _STREAM_POP))
-    bound = uniform_discrepancy_bound(query)
-    measured = np.zeros(trials)
-    for t in range(trials):
-        data = sample_gmm(spec, query.n, seed=(seed, _STREAM_TRIAL, t), normalize=True)
-        emp = logistic.risk_batch(thetas, data, query.alpha)
-        measured[t] = np.max(np.abs(emp - pop_inf) - 3.0 * pop_se)
-    passed = measured <= bound
-    return GeneralizationAudit(query.alpha, bound, measured, passed, float(passed.mean()))
+    job = (query, np.inf, uniform_discrepancy_bound(query))
+    return _run_audits(spec, [job], trials, n_theta, pop_n, seed)[0]
 
 
 @dataclass

@@ -30,7 +30,13 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import __version__, logistic, slqc
-from .bounds import BoundQuery, rademacher_bound, uniform_discrepancy_bound
+from .bounds import (
+    BoundQuery,
+    audit_generalizations,
+    population_groups,
+    rademacher_bound,
+    uniform_discrepancy_bound,
+)
 from .datasets import CorruptionSpec, GmmSpec, sample_gmm
 from .info import tilt_posterior
 from .losses import as_pmf, canon_alpha
@@ -47,6 +53,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_AUDIT = 4
+
+# parameter vectors per population pass of the bounds audit
+AUDIT_THETAS = 100
 
 SCENARIOS: Dict[str, CorruptionSpec] = {
     "imbalance": CorruptionSpec(class_counts=(2, 98)),
@@ -361,6 +370,19 @@ def cmd_slqc_audit(args) -> int:
     return EXIT_OK
 
 
+def _parse_query(item) -> BoundQuery:
+    try:
+        return BoundQuery(
+            alpha=parse_alpha(str(item["alpha"])),
+            r=float(item["r"]),
+            d=int(item["d"]),
+            n=int(item["n"]),
+            delta=float(item["delta"]),
+        )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid bound query entry {item!r}: {exc}") from exc
+
+
 def cmd_bounds(args) -> int:
     try:
         with open(args.query) as fh:
@@ -369,41 +391,38 @@ def cmd_bounds(args) -> int:
         raise ConfigError(f"cannot read bound query {args.query}: {exc}") from exc
     if isinstance(payload, dict):
         payload = [payload]
+    queries = [_parse_query(item) for item in payload]
     audit_spec = load_gmm(args.gmm) if args.gmm else None
+    audits = [None] * len(queries)
+    passes = 0
+    if audit_spec is not None:
+        audits = audit_generalizations(
+            audit_spec, queries, trials=args.trials, n_theta=AUDIT_THETAS,
+            pop_n=args.pop_samples, seed=args.seed,
+        )
+        passes = len(population_groups(queries))
     rows = []
     all_passed = True
-    for item in payload:
-        try:
-            q = BoundQuery(
-                alpha=parse_alpha(str(item["alpha"])),
-                r=float(item["r"]),
-                d=int(item["d"]),
-                n=int(item["n"]),
-                delta=float(item["delta"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid bound query entry {item!r}: {exc}") from exc
+    for q, audit in zip(queries, audits):
         rad = rademacher_bound(q)
         try:
             unif = uniform_discrepancy_bound(q)
         except ValueError:
             unif = float("nan")
         measured, frac = float("nan"), float("nan")
-        if audit_spec is not None:
-            from .bounds import audit_generalization
-
-            audit = audit_generalization(
-                audit_spec, q, trials=args.trials, n_theta=100,
-                pop_n=args.pop_samples, seed=args.seed,
-            )
+        if audit is not None:
             measured, frac = float(audit.measured.max()), audit.pass_fraction
             all_passed &= frac >= 1.0 - q.delta
         rows.append([
             _fmt(q.alpha), q.r, q.d, q.n, q.delta, rad, unif, measured, frac,
         ])
+    manifest = _manifest(args, "bounds", args.query)
+    manifest["pop_samples"] = args.pop_samples if passes else 0
+    manifest["population_passes"] = passes
+    manifest["population_margins"] = passes * AUDIT_THETAS * args.pop_samples
     write_csv(
         args.out,
-        _manifest(args, "bounds", args.query),
+        manifest,
         ["alpha", "r", "d", "n", "delta", "rademacher_bound",
          "uniform_discrepancy_bound", "measured_sup_gap", "audit_pass_fraction"],
         rows,

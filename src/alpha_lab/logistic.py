@@ -25,7 +25,12 @@ import numpy as np
 from scipy.special import expit
 
 from .datasets import GmmSpec, LabeledDataset, sample_gmm
-from .losses import canon_alpha, margin_alpha_loss, margin_lipschitz_constant
+from .losses import (
+    canon_alpha,
+    margin_alpha_loss,
+    margin_alpha_losses,
+    margin_lipschitz_constant,
+)
 from .util import log_sigmoid, softplus
 
 BALL_SLACK = 1e-9
@@ -181,12 +186,24 @@ def risk_gradient_batch(thetas, data, alpha) -> np.ndarray:
     return risk_gradients(thetas, data, [alpha])[0]
 
 
-def risk_batch(thetas, data, alpha) -> np.ndarray:
-    """Empirical risk at many parameter vectors at once."""
+def risks(thetas, data, alphas) -> np.ndarray:
+    """Empirical risks at many parameter vectors for each of several tuning values.
+
+    Returns shape (len(alphas), len(thetas)).  The margins and their
+    softplus do not depend on alpha, so they are computed once.
+    """
     X, y = _as_xy(data)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     Z = (X @ thetas.T) * y[:, None]
-    return margin_alpha_loss(alpha, Z).mean(axis=0)
+    out = np.empty((len(alphas), thetas.shape[0]))
+    for k, vals in enumerate(margin_alpha_losses(alphas, Z)):
+        out[k] = vals.mean(axis=0)
+    return out
+
+
+def risk_batch(thetas, data, alpha) -> np.ndarray:
+    """Empirical risk at many parameter vectors at once."""
+    return risks(thetas, data, [alpha])[0]
 
 
 def risk_hessian(theta, data, alpha) -> np.ndarray:

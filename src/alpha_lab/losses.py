@@ -87,22 +87,51 @@ def alpha_loss(alpha, label_index: int, pmf) -> float:
     return float(a / (a - 1.0) * (1.0 - py ** (1.0 - 1.0 / a)))
 
 
+def _loss_from_softplus(alpha: float, sp, out):
+    """Margin loss at a finite canonical ``alpha`` from ``sp = softplus(-z)``.
+
+    ``sp`` itself at alpha = 1; otherwise
+    ``alpha/(alpha-1) * -expm1((1/alpha - 1) * sp)``, written into ``out``.
+    """
+    if alpha == 1.0:
+        return sp
+    with np.errstate(over="ignore"):
+        t = np.multiply(1.0 / alpha - 1.0, sp, out=out)
+        np.expm1(t, out=t)
+        np.negative(t, out=t)
+        return np.multiply(alpha / (alpha - 1.0), t, out=t)
+
+
+def margin_alpha_losses(alphas, z, out=None):
+    """Margin losses of ``z`` at each of several tuning values, in order.
+
+    ``softplus(-z)`` is computed once, and only when some alpha is
+    finite; alpha = inf is ``expit(-z)``.  Every yielded array is either
+    that softplus (alpha = 1, which the caller must not modify) or
+    ``out`` (allocated when None), so each is valid only until the next
+    one is requested, and ``out`` is free scratch once a value is read.
+    """
+    alphas = [canon_alpha(a) for a in alphas]
+    z = np.asarray(z, dtype=float)
+    if out is None:
+        out = np.empty_like(z)
+    sp = None
+    if not all(np.isinf(alphas)):
+        sp = softplus(np.negative(z, out=out))
+    for a in alphas:
+        if np.isinf(a):
+            yield expit(np.negative(z, out=out), out=out)
+        else:
+            yield _loss_from_softplus(a, sp, out)
+
+
 def margin_alpha_loss(alpha, z):
     """Margin-based form of the loss, vectorized over the margin ``z``.
 
     ``z = y*f(x)``; +inf margins give 0 loss, -inf margins give the loss
     supremum (alpha/(alpha-1) for alpha > 1, +inf otherwise).
     """
-    a = canon_alpha(alpha)
-    z = np.asarray(z, dtype=float)
-    if a == 1.0:
-        out = softplus(-z)
-    elif np.isinf(a):
-        out = expit(-z)
-    else:
-        with np.errstate(over="ignore"):
-            t = (1.0 / a - 1.0) * softplus(-z)
-            out = a / (a - 1.0) * -np.expm1(t)
+    (out,) = margin_alpha_losses([alpha], z)
     if out.ndim == 0:
         return float(out)
     return out

@@ -362,10 +362,8 @@ def saturation_report(
     axis = parameter_lattice(radius, grid_size)
     t1, t2 = np.meshgrid(axis, axis, indexing="ij")
     thetas = np.stack([t1.ravel(), t2.ravel()], axis=1)
-    r_a = logistic.risk_batch(thetas, data, a)
-    r_inf = logistic.risk_batch(thetas, data, np.inf)
-    g_a = logistic.risk_gradient_batch(thetas, data, a)
-    g_inf = logistic.risk_gradient_batch(thetas, data, np.inf)
+    r_a, r_inf = logistic.risks(thetas, data, [a, np.inf])
+    g_a, g_inf = logistic.risk_gradients(thetas, data, [a, np.inf])
     norms = np.linalg.norm(thetas, axis=1)
     sqrt_d = np.sqrt(2.0)
     L = np.logaddexp(0.0, norms * sqrt_d) ** 2 / 2.0

@@ -1,8 +1,9 @@
 """Independent verification oracles used by the test suite.
 
 Deliberately simple: central finite differences, direct enumeration,
-Monte-Carlo suprema and a frozen copy of the original gradient-descent
-loop, sharing no code path with the library formulas they check.
+Monte-Carlo suprema and frozen copies of the original gradient-descent
+loop, gradient, margin-loss and population-risk forms, sharing no code
+path with the library formulas they check.
 """
 
 import numpy as np
@@ -139,3 +140,40 @@ def seed_gradient_floor(thetas, X, y, alpha0):
         np.linalg.norm(seed_risk_gradient_batch(thetas, X, y, a), axis=1) for a in grid
     ])
     return 0.95 * norms.min(axis=0)
+
+
+def seed_margin_alpha_loss(alpha, z):
+    """Frozen copy of the original margin loss at one tuning value.
+
+    ``alpha`` must already be canonical (no guard band around 1).
+    """
+    z = np.asarray(z, dtype=float)
+    if alpha == 1.0:
+        return np.logaddexp(0.0, -z)
+    if np.isinf(alpha):
+        return expit(-z)
+    with np.errstate(over="ignore"):
+        t = (1.0 / alpha - 1.0) * np.logaddexp(0.0, -z)
+        return alpha / (alpha - 1.0) * -np.expm1(t)
+
+
+def seed_population_risks(chunks, thetas, alpha):
+    """Frozen copy of the original chunked Monte-Carlo population risk.
+
+    ``chunks`` lists the (X, y) pool arrays of each chunk in draw order;
+    every chunk recomputes its margins and losses for this one alpha.
+    Returns (mean, standard error) per theta.
+    """
+    m = thetas.shape[0]
+    total = np.zeros(m)
+    total_sq = np.zeros(m)
+    seen = 0
+    for X, y in chunks:
+        Z = (X @ thetas.T) * y[:, None].astype(float)
+        vals = seed_margin_alpha_loss(alpha, Z)
+        total += vals.sum(axis=0)
+        total_sq += (vals**2).sum(axis=0)
+        seen += X.shape[0]
+    mean = total / seen
+    var = np.maximum(total_sq / seen - mean**2, 0.0)
+    return mean, np.sqrt(var / seen)

@@ -354,11 +354,14 @@ def test_criterion_10_robustness_orderings():
 def test_criterion_11_generalization_audits():
     with criterion(11, "uniform-bound audits over seeded trials", 300.0):
         delta = 0.2
-        for alpha in (0.5, 1.0, 2.0, np.inf):
-            q = al.BoundQuery(alpha=alpha, r=1.0, d=2, n=500, delta=delta)
-            audit = al.audit_generalization(
-                SYMMETRIC, q, trials=50, n_theta=200, pop_n=1_000_000, seed=111
-            )
+        queries = [
+            al.BoundQuery(alpha=alpha, r=1.0, d=2, n=500, delta=delta)
+            for alpha in (0.5, 1.0, 2.0, np.inf)
+        ]
+        audits = al.audit_generalizations(
+            SYMMETRIC, queries, trials=50, n_theta=200, pop_n=1_000_000, seed=111
+        )
+        for audit in audits:
             assert audit.pass_fraction >= 1.0 - delta
         q10 = al.BoundQuery(alpha=10.0, r=1.0, d=2, n=500, delta=delta)
         audit10 = al.audit_uniform_discrepancy(

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from alpha_lab import bounds
 from alpha_lab.bounds import (
     BoundQuery,
     audit_generalization,
+    audit_generalizations,
     audit_uniform_discrepancy,
     optimality_trend,
+    population_groups,
     rademacher_bound,
     uniform_discrepancy_bound,
 )
-from alpha_lab.datasets import GmmSpec, bayes_risk
+from alpha_lab.datasets import GmmSpec, bayes_risk, sample_gmm
 from alpha_lab.losses import margin_lipschitz_constant, loss_sup_bound
 from alpha_lab.util import softplus
+
+from oracles import seed_margin_alpha_loss, seed_population_risks
 
 SYMMETRIC = GmmSpec.symmetric()
 
@@ -78,6 +83,95 @@ def test_uniform_discrepancy_audit_small():
     q = BoundQuery(alpha=10.0, r=1.0, d=2, n=300, delta=0.2)
     audit = audit_uniform_discrepancy(SYMMETRIC, q, trials=5, n_theta=50, pop_n=100_000, seed=2)
     assert audit.pass_fraction == 1.0
+
+
+def _seed_pool_chunks(pop_n, seed, chunk=50_000):
+    """The pool arrays of each chunk, drawn as the population pass draws them."""
+    chunks = []
+    for block, start in enumerate(range(0, pop_n, chunk)):
+        pool = sample_gmm(SYMMETRIC, min(chunk, pop_n - start), seed=(*seed, block), normalize=True)
+        chunks.append((pool.X, pool.y))
+    return chunks
+
+
+def test_population_risks_bit_identical_to_seed_form():
+    # 120,001 draws: two full chunks and a partial one; alpha 2 appears twice
+    thetas = bounds._ball_points(2, 1.0, 40, (3, 5))
+    seed = (3, bounds._STREAM_POP)
+    alphas = [0.5, 1.0, 2.0, 10.0, np.inf, 2.0]
+    chunks = _seed_pool_chunks(120_001, seed)
+    assert [len(X) for X, _ in chunks] == [50_000, 50_000, 20_001]
+    mean, se = bounds._population_risks(thetas, SYMMETRIC, alphas, 120_001, seed)
+    assert mean.shape == se.shape == (len(alphas), 40)
+    for k, a in enumerate(alphas):
+        ref_mean, ref_se = seed_population_risks(chunks, thetas, a)
+        assert np.array_equal(mean[k], ref_mean) and np.array_equal(se[k], ref_se)
+    # an alpha = inf-only pass skips the softplus and must agree as well
+    mean_inf, se_inf = bounds._population_risks(thetas, SYMMETRIC, [np.inf], 120_001, seed)
+    assert np.array_equal(mean_inf, mean[[4]]) and np.array_equal(se_inf, se[[4]])
+
+
+def _seed_audit(query, pop_alpha, trials, n_theta, pop_n, seed):
+    """The original per-query audit loop on the oracle population risks."""
+    thetas = bounds._ball_points(query.d, query.r, n_theta, (seed, bounds._STREAM_THETA))
+    chunks = _seed_pool_chunks(pop_n, (seed, bounds._STREAM_POP))
+    pop, pop_se = seed_population_risks(chunks, thetas, pop_alpha)
+    measured = np.zeros(trials)
+    for t in range(trials):
+        data = sample_gmm(SYMMETRIC, query.n, seed=(seed, bounds._STREAM_TRIAL, t), normalize=True)
+        Z = (data.X @ thetas.T) * data.y[:, None]
+        emp = seed_margin_alpha_loss(query.alpha, Z).mean(axis=0)
+        measured[t] = np.max(np.abs(emp - pop) - 3.0 * pop_se)
+    return measured
+
+
+def test_grouped_audits_match_one_query_audits_and_seed_form():
+    # shuffled queries over two balls, mixed sample sizes, alpha 2 twice
+    queries = [
+        BoundQuery(alpha=2.0, r=1.0, d=2, n=300, delta=0.2),
+        BoundQuery(alpha=np.inf, r=0.5, d=2, n=200, delta=0.2),
+        BoundQuery(alpha=0.5, r=1.0, d=2, n=200, delta=0.1),
+        BoundQuery(alpha=1.0, r=0.5, d=2, n=300, delta=0.2),
+        BoundQuery(alpha=2.0, r=1.0, d=2, n=100, delta=0.2),
+        BoundQuery(alpha=10.0, r=0.5, d=2, n=100, delta=0.2),
+    ]
+    assert list(population_groups(queries).values()) == [[0, 2, 4], [1, 3, 5]]
+    kw = dict(trials=3, n_theta=30, pop_n=60_001, seed=4)
+    grouped = audit_generalizations(SYMMETRIC, queries, **kw)
+    assert len(grouped) == len(queries)
+    for q, audit in zip(queries, grouped):
+        alone = audit_generalization(SYMMETRIC, q, **kw)
+        assert audit.alpha == alone.alpha == q.alpha
+        assert audit.bound == alone.bound == rademacher_bound(q)
+        assert audit.measured.tobytes() == alone.measured.tobytes()
+        assert np.array_equal(audit.passed, alone.passed)
+        assert audit.pass_fraction == alone.pass_fraction
+        assert audit.measured.tobytes() == _seed_audit(q, q.alpha, **kw).tobytes()
+
+
+def test_uniform_discrepancy_audit_bit_identical_to_seed_form():
+    q = BoundQuery(alpha=10.0, r=1.0, d=2, n=300, delta=0.2)
+    kw = dict(trials=3, n_theta=30, pop_n=60_001, seed=2)
+    audit = audit_uniform_discrepancy(SYMMETRIC, q, **kw)
+    assert audit.bound == uniform_discrepancy_bound(q)
+    assert audit.measured.tobytes() == _seed_audit(q, np.inf, **kw).tobytes()
+
+
+@pytest.mark.parametrize("name", ["trials", "n_theta", "pop_n"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_audits_reject_empty_sizes(name, value):
+    q = BoundQuery(alpha=1.0, r=1.0, d=2, n=100, delta=0.2)
+    kw = dict(trials=2, n_theta=10, pop_n=1000, seed=0)
+    kw[name] = value
+    for audit in (audit_generalization, audit_uniform_discrepancy):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            audit(SYMMETRIC, q, **kw)
+
+
+def test_audit_rejects_dimension_mismatch():
+    q = BoundQuery(alpha=1.0, r=1.0, d=3, n=100, delta=0.2)
+    with pytest.raises(ValueError, match="d=3"):
+        audit_generalization(SYMMETRIC, q, trials=2, n_theta=10, pop_n=1000)
 
 
 def test_bayes_risk_of_symmetric_spec():

@@ -146,11 +146,12 @@ def test_bounds_scaling(tmp_path):
     ]))
     out = tmp_path / "bounds.csv"
     assert main(["bounds", "--query", str(query), "--out", str(out)]) == 0
-    _, header, rows = read_csv(out)
+    comments, header, rows = read_csv(out)
     i_rad = header.index("rademacher_bound")
     assert float(rows[1][i_rad]) == pytest.approx(float(rows[0][i_rad]) / 2.0, rel=1e-12)
     # uniform bound undefined below alpha = 1
     assert rows[2][header.index("uniform_discrepancy_bound")] == "nan"
+    assert "# population_passes: 0" in comments and "# population_margins: 0" in comments
 
 
 def test_bounds_audit_columns(tmp_path):
@@ -163,11 +164,55 @@ def test_bounds_audit_columns(tmp_path):
         "--pop-samples", "50000", "--out", str(out), "--strict",
     ])
     assert rc == 0
-    _, header, rows = read_csv(out)
+    comments, header, rows = read_csv(out)
     gap = float(rows[0][header.index("measured_sup_gap")])
     frac = float(rows[0][header.index("audit_pass_fraction")])
     bound = float(rows[0][header.index("rademacher_bound")])
     assert gap <= bound and frac == 1.0
+    assert "# pop_samples: 50000" in comments
+    assert "# population_passes: 1" in comments
+    assert "# population_margins: 5000000" in comments
+
+
+def test_bounds_queries_share_population_passes(tmp_path):
+    # two balls -> two passes; each row equals the query audited alone
+    gmm = write_gmm(tmp_path)
+    items = [
+        {"alpha": 2.0, "r": 1.0, "d": 2, "n": 200, "delta": 0.2},
+        {"alpha": "inf", "r": 0.5, "d": 2, "n": 300, "delta": 0.2},
+        {"alpha": 0.5, "r": 1.0, "d": 2, "n": 300, "delta": 0.2},
+    ]
+    flags = ["--gmm", gmm, "--trials", "2", "--pop-samples", "20000", "--seed", "3"]
+    query = tmp_path / "q.json"
+    query.write_text(json.dumps(items))
+    out = tmp_path / "all.csv"
+    assert main(["bounds", "--query", str(query), "--out", str(out)] + flags) == 0
+    comments, _, rows = read_csv(out)
+    assert "# population_passes: 2" in comments
+    assert "# population_margins: 4000000" in comments
+    for item, row in zip(items, rows):
+        query.write_text(json.dumps(item))
+        alone = tmp_path / "one.csv"
+        assert main(["bounds", "--query", str(query), "--out", str(alone)] + flags) == 0
+        assert read_csv(alone)[2] == [row]
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--pop-samples", "0", "pop_n"),
+    ("--pop-samples", "-5", "pop_n"),
+    ("--trials", "0", "trials"),
+])
+@pytest.mark.parametrize("strict", [False, True])
+def test_bounds_rejects_empty_audit_sizes(tmp_path, capsys, flag, value, name, strict):
+    gmm = write_gmm(tmp_path)
+    query = tmp_path / "q.json"
+    query.write_text(json.dumps({"alpha": 1.0, "r": 1.0, "d": 2, "n": 100, "delta": 0.2}))
+    out = tmp_path / "bad.csv"
+    argv = ["bounds", "--query", str(query), "--gmm", gmm, flag, value, "--out", str(out)]
+    rc = main(argv + ["--strict"] * strict)
+    assert rc == 2
+    assert f"configuration error: {name} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trend_strict_violation_exit_code(tmp_path):

@@ -16,13 +16,14 @@ from alpha_lab.logistic import (
     risk_gradients,
     risk_hessian,
     risk_report,
+    risks,
     small_radius_admissible_alpha,
     small_radius_modulus,
     soft_classifier,
     strong_convexity_modulus,
     theta_lipschitz_constant,
 )
-from alpha_lab.losses import margin_loss_second_derivative, sigmoid
+from alpha_lab.losses import margin_alpha_loss, margin_loss_second_derivative, sigmoid
 
 from oracles import central_diff_grad, central_diff_hessian, seed_risk_gradient_batch
 
@@ -282,6 +283,23 @@ def test_risk_gradient_batch_bit_identical_to_seed_form():
             ref = seed_risk_gradient_batch(thetas, X, y, alpha)
             assert np.array_equal(risk_gradient_batch(thetas, data, alpha), ref)
             assert np.array_equal(together[k], ref)
+
+
+def test_risks_match_per_alpha_losses():
+    # one margin matrix and one softplus for all alphas change no bit
+    rng = np.random.default_rng(907)
+    data = sample_gmm(GmmSpec.symmetric(), 400, seed=908, normalize=True)
+    alphas = (0.5, 1.0, 2.0, 10.0, np.inf, 2.0)
+    for m, scale in ((64, 1.0), (5, 30.0), (1, 2.0)):
+        thetas = scale * rng.uniform(-1.0, 1.0, size=(m, 2))
+        together = risks(thetas, data, alphas)
+        assert together.shape == (len(alphas), m)
+        Z = (data.X @ thetas.T) * data.y[:, None].astype(float)
+        for k, alpha in enumerate(alphas):
+            ref = margin_alpha_loss(alpha, Z).mean(axis=0)
+            assert np.array_equal(together[k], ref)
+            assert np.array_equal(risk_batch(thetas, data, alpha), ref)
+    assert np.array_equal(risks(thetas, data, [np.inf]), together[[4]])
 
 
 def test_population_risk_sampler():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alpha_lab.losses import (
     alpha_loss,
@@ -9,13 +11,14 @@ from alpha_lab.losses import (
     inverse_sigmoid,
     loss_sup_bound,
     margin_alpha_loss,
+    margin_alpha_losses,
     margin_lipschitz_constant,
     margin_loss_derivative,
     margin_loss_second_derivative,
     sigmoid,
 )
 
-from oracles import mc_slope_sup, scalar_central_diff
+from oracles import mc_slope_sup, scalar_central_diff, seed_margin_alpha_loss
 
 
 def test_canon_alpha_guard_band_and_validation():
@@ -87,6 +90,33 @@ def test_margin_loss_stable_for_large_negative_margins():
     val = margin_alpha_loss(4.0, -500.0)
     assert val == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert np.isfinite(margin_alpha_loss(1.0, -500.0))
+
+
+SPLIT_ALPHAS = [0.3, 0.5, 1.0, 1.44, 8.0, np.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    z=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=40),
+    alphas=st.lists(st.sampled_from(SPLIT_ALPHAS), min_size=1, max_size=4),
+)
+def test_split_loss_bit_identical_to_seed_form(z, alphas):
+    # the shared softplus(-z) and the per-alpha map change no bit, one
+    # alpha at a time or several from one softplus, arrays or scalars
+    z = np.array(z)
+    for a, vals in zip(alphas, margin_alpha_losses(alphas, z)):
+        ref = seed_margin_alpha_loss(a, z)
+        assert np.array_equal(vals, ref)
+        assert np.array_equal(margin_alpha_loss(a, z), ref)
+        assert margin_alpha_loss(a, z[0]) == float(ref[0])
+
+
+def test_split_loss_shares_one_buffer():
+    z = np.linspace(-5.0, 5.0, 11)
+    buf = np.empty_like(z)
+    seen = list(margin_alpha_losses([2.0, 1.0, np.inf], z, out=buf))
+    assert seen[0] is buf and seen[2] is buf and seen[1] is not buf
+    assert np.array_equal(seen[1], seed_margin_alpha_loss(1.0, z))
 
 
 def test_continuity_at_alpha_one():
