@@ -141,6 +141,8 @@ def _run_audits(spec, jobs, trials, n_theta, pop_n, seed) -> List[Generalization
     Each trial compares the empirical risk at the query's alpha with the
     population risk at the job's alpha, both over the same parameter
     vectors; one Monte-Carlo pass per (d, r) group serves all its jobs.
+    Trial t's dataset depends only on n and t, so within a group it is
+    drawn once per (n, t) and scored at every member alpha in one call.
     """
     for name, value in (("trials", trials), ("n_theta", n_theta), ("pop_n", pop_n)):
         if value < 1:
@@ -152,16 +154,23 @@ def _run_audits(spec, jobs, trials, n_theta, pop_n, seed) -> List[Generalization
         thetas = _ball_points(d, r, n_theta, (seed, _STREAM_THETA))
         pop_alphas = list(dict.fromkeys(canon_alpha(jobs[i][1]) for i in members))
         pop, pop_se = _population_risks(thetas, spec, pop_alphas, pop_n, (seed, _STREAM_POP))
+        by_n: Dict[int, List[int]] = {}
         for i in members:
-            q, pop_alpha, bound = jobs[i]
-            k = pop_alphas.index(canon_alpha(pop_alpha))
-            measured = np.zeros(trials)
+            by_n.setdefault(jobs[i][0].n, []).append(i)
+        for n, idx in by_n.items():
+            rows = [pop_alphas.index(canon_alpha(jobs[i][1])) for i in idx]
+            measured = np.zeros((len(idx), trials))
             for t in range(trials):
-                data = sample_gmm(spec, q.n, seed=(seed, _STREAM_TRIAL, t), normalize=True)
-                emp = logistic.risk_batch(thetas, data, q.alpha)
-                measured[t] = np.max(np.abs(emp - pop[k]) - 3.0 * pop_se[k])
-            passed = measured <= bound
-            audits[i] = GeneralizationAudit(q.alpha, bound, measured, passed, float(passed.mean()))
+                data = sample_gmm(spec, n, seed=(seed, _STREAM_TRIAL, t), normalize=True)
+                emp = logistic.risks(thetas, data, [jobs[i][0].alpha for i in idx])
+                for j, k in enumerate(rows):
+                    measured[j, t] = np.max(np.abs(emp[j] - pop[k]) - 3.0 * pop_se[k])
+            for j, i in enumerate(idx):
+                q, _, bound = jobs[i]
+                passed = measured[j] <= bound
+                audits[i] = GeneralizationAudit(
+                    q.alpha, bound, measured[j], passed, float(passed.mean())
+                )
     return audits
 
 

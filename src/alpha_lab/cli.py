@@ -42,9 +42,9 @@ from .info import tilt_posterior
 from .losses import as_pmf, canon_alpha
 from .training import (
     TrainConfig,
+    _landscape_saturation,
     landscape_grid,
     run_synthetic_experiment,
-    saturation_report,
     single_basin,
     train_gd,
 )
@@ -187,21 +187,22 @@ def cmd_landscape(args) -> int:
     if spec.dim != 2:
         raise ConfigError("landscape requires a 2-D GMM spec")
     alpha = parse_alpha(args.alpha)
+    if args.compare_infinity and not canon_alpha(alpha) >= 1.0:
+        raise ConfigError("--compare-infinity requires alpha >= 1")
     data = sample_gmm(spec, args.n, seed=(args.seed, 1), normalize=True)
-    axis, risks = landscape_grid(data, alpha, args.radius, args.grid)
+    saturation = None
+    if args.compare_infinity:
+        axis, risks, saturation = _landscape_saturation(data, alpha, args.radius, args.grid)
+    else:
+        axis, risks = landscape_grid(data, alpha, args.radius, args.grid)
     manifest = _manifest(args, "landscape", args.gmm)
     manifest["alpha"] = _fmt(alpha)
     manifest["grid"] = args.grid
     manifest["radius"] = _fmt(args.radius)
     manifest["single_basin"] = _fmt(single_basin(risks))
+    for key, val in (saturation or {}).items():
+        manifest[key] = _fmt(val)
     rows = []
-    saturation = None
-    if args.compare_infinity:
-        if not canon_alpha(alpha) >= 1.0:
-            raise ConfigError("--compare-infinity requires alpha >= 1")
-        saturation = saturation_report(data, args.radius, args.grid, alpha)
-        for key, val in saturation.items():
-            manifest[key] = _fmt(val)
     for i, t1 in enumerate(axis):
         for j, t2 in enumerate(axis):
             rows.append([t1, t2, risks[i, j]])

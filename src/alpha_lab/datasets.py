@@ -10,6 +10,12 @@ so experiments can audit what the corruption did.
 Features are optionally mapped to [0,1]^d through a fixed clipping box
 (the same affine map for train and test); raw-coordinate datasets carry
 ``normalized=False`` and skip the unit-box invariant.
+
+Importing this module (and ``alpha_lab``) loads numpy and scipy.special
+only: Gaussian tails use ``scipy.special.ndtr``, which is what
+``scipy.stats.norm`` computes them with.  ``scipy.optimize`` is imported
+by the unequal-covariance fallback of ``bayes_direction`` and
+``scipy.stats`` by the grid integration of ``bayes_risk``, each on first use.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .util import derive_rng
 
@@ -257,9 +262,9 @@ def gaussian_linear_error(spec: GmmSpec, w, offset: float = 0.0) -> float:
             wrong = (m >= offset) if label == -1 else (m < offset)
             err += prior * float(wrong)
         elif label == -1:
-            err += prior * norm.sf((offset - m) / s)
+            err += prior * ndtr(-((offset - m) / s))
         else:
-            err += prior * norm.cdf((offset - m) / s)
+            err += prior * ndtr((offset - m) / s)
     return float(err)
 
 
@@ -284,6 +289,7 @@ def bayes_direction(spec: GmmSpec, angle_step_deg: float = 0.25):
         return w / nw, b / nw
     if spec.dim != 2:
         raise ValueError("numeric fallback implemented for d = 2 only")
+    from scipy.optimize import minimize_scalar
 
     def best_offset(phi_deg):
         w = np.array([np.cos(np.radians(phi_deg)), np.sin(np.radians(phi_deg))])

@@ -115,6 +115,13 @@ def margins(theta, X, y):
     return y * (X @ _as_theta(theta))
 
 
+def _margin_matrix(thetas: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Margins y_i <theta_j, x_i> as an (n, m) matrix, signed in place."""
+    Z = X @ thetas.T
+    Z *= y[:, None]
+    return Z
+
+
 def empirical_alpha_risk(theta, data, alpha) -> float:
     """Mean loss over the sample, via the margin form."""
     X, y = _as_xy(data)
@@ -141,11 +148,14 @@ def _log_sigmoid_pair(z: np.ndarray):
     return log_sigmoid(z), log_sigmoid(-z)
 
 
-def _grad_weights(alpha: float, lp: np.ndarray, lm: np.ndarray) -> np.ndarray:
-    # |F1| = g(z)^(1-1/alpha) * g(-z), from (lp, lm) = _log_sigmoid_pair(z)
+def _grad_weights(alpha: float, lp: np.ndarray, lm: np.ndarray, out=None) -> np.ndarray:
+    # |F1| = g(z)^(1-1/alpha) * g(-z), from (lp, lm) = _log_sigmoid_pair(z),
+    # computed in ``out`` (a fresh array when None)
     b = 0.0 if np.isinf(alpha) else 1.0 / alpha
+    out = np.multiply(lp, 1.0 - b, out=out)
+    out += lm
     with np.errstate(over="ignore"):
-        return np.exp((1.0 - b) * lp + lm)
+        return np.exp(out, out=out)
 
 
 def _curv_weights(alpha: float, z: np.ndarray) -> np.ndarray:
@@ -168,15 +178,19 @@ def risk_gradients(thetas, data, alphas) -> np.ndarray:
 
     Returns shape (len(alphas), len(thetas), d).  The log-sigmoid pair of
     the margins does not depend on alpha, so it is computed once; only the
-    weight exponent and the matmul run per alpha.
+    weight exponent and the matmul run per alpha, with the weights of
+    every alpha written into one buffer.
     """
     alphas = [canon_alpha(a) for a in alphas]
     X, y = _as_xy(data)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    lp, lm = _log_sigmoid_pair((X @ thetas.T) * y[:, None])
+    lp, lm = _log_sigmoid_pair(_margin_matrix(thetas, X, y))
+    neg_y = -y[:, None]
+    F1 = np.empty_like(lp)
     out = np.empty((len(alphas), thetas.shape[0], X.shape[1]))
     for k, a in enumerate(alphas):
-        F1 = -y[:, None] * _grad_weights(a, lp, lm)
+        _grad_weights(a, lp, lm, out=F1)
+        F1 *= neg_y
         out[k] = (X.T @ F1).T / X.shape[0]
     return out
 
@@ -194,9 +208,8 @@ def risks(thetas, data, alphas) -> np.ndarray:
     """
     X, y = _as_xy(data)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    Z = (X @ thetas.T) * y[:, None]
     out = np.empty((len(alphas), thetas.shape[0]))
-    for k, vals in enumerate(margin_alpha_losses(alphas, Z)):
+    for k, vals in enumerate(margin_alpha_losses(alphas, _margin_matrix(thetas, X, y))):
         out[k] = vals.mean(axis=0)
     return out
 

@@ -329,6 +329,13 @@ def parameter_lattice(radius: float, grid_size: int) -> np.ndarray:
     return np.linspace(-radius, radius, grid_size)
 
 
+def _lattice_thetas(radius: float, grid_size: int):
+    """(axis, thetas): the lattice axis and its grid_size^2 points, row-major."""
+    axis = parameter_lattice(radius, grid_size)
+    t1, t2 = np.meshgrid(axis, axis, indexing="ij")
+    return axis, np.stack([t1.ravel(), t2.ravel()], axis=1)
+
+
 def landscape_grid(data: LabeledDataset, alpha, radius: float, grid_size: int):
     """Empirical risk over the square lattice in the 2-D parameter plane.
 
@@ -336,9 +343,7 @@ def landscape_grid(data: LabeledDataset, alpha, radius: float, grid_size: int):
     """
     if data.dim != 2:
         raise ValueError("landscape grids are defined for d = 2")
-    axis = parameter_lattice(radius, grid_size)
-    t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-    thetas = np.stack([t1.ravel(), t2.ravel()], axis=1)
+    axis, thetas = _lattice_thetas(radius, grid_size)
     risks = logistic.risk_batch(thetas, data, alpha)
     return axis, risks.reshape(grid_size, grid_size)
 
@@ -352,6 +357,16 @@ def saturation_report(
     respective Lipschitz-in-1/alpha envelopes max L/alpha and max J/alpha
     over the same lattice.  Requires alpha >= 1 and unit-box features.
     """
+    return _landscape_saturation(data, alpha, radius, grid_size)[2]
+
+
+def _landscape_saturation(data: LabeledDataset, alpha, radius: float, grid_size: int):
+    """(axis, risk matrix, saturation report) from one risk pass over the lattice.
+
+    The risk matrix holds the alpha risks that the report compares with
+    alpha = inf; they equal what ``landscape_grid`` returns for the same
+    arguments, bit for bit.
+    """
     a = canon_alpha(alpha)
     if not a >= 1.0:
         raise ValueError("saturation audit needs alpha >= 1")
@@ -359,9 +374,7 @@ def saturation_report(
         raise ValueError("saturation grids are defined for d = 2")
     if not data.normalized:
         raise ValueError("saturation envelopes assume unit-box features; normalize the data")
-    axis = parameter_lattice(radius, grid_size)
-    t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-    thetas = np.stack([t1.ravel(), t2.ravel()], axis=1)
+    axis, thetas = _lattice_thetas(radius, grid_size)
     r_a, r_inf = logistic.risks(thetas, data, [a, np.inf])
     g_a, g_inf = logistic.risk_gradients(thetas, data, [a, np.inf])
     norms = np.linalg.norm(thetas, axis=1)
@@ -370,7 +383,7 @@ def saturation_report(
     J = sqrt_d * np.logaddexp(0.0, norms * sqrt_d) / (1.0 + np.exp(-norms * sqrt_d))
     value_gap = np.abs(r_a - r_inf)
     grad_gap = np.linalg.norm(g_a - g_inf, axis=1)
-    return {
+    report = {
         "max_value_gap": float(value_gap.max()),
         "max_value_bound": float((L / a).max()),
         "max_grad_gap": float(grad_gap.max()),
@@ -378,6 +391,7 @@ def saturation_report(
         "value_ok": bool(value_gap.max() <= (L / a).max()),
         "grad_ok": bool(grad_gap.max() <= (J / a).max()),
     }
+    return axis, r_a.reshape(grid_size, grid_size), report
 
 
 def lattice_strict_local_minima(values: np.ndarray) -> List[Tuple[int, int]]:

@@ -2,12 +2,13 @@
 
 Deliberately simple: central finite differences, direct enumeration,
 Monte-Carlo suprema and frozen copies of the original gradient-descent
-loop, gradient, margin-loss and population-risk forms, sharing no code
-path with the library formulas they check.
+loop, gradient, margin-loss, population-risk and Gaussian-error forms,
+sharing no code path with the library formulas they check.
 """
 
 import numpy as np
 from scipy.special import expit
+from scipy.stats import norm
 
 
 def central_diff_grad(f, theta, h=1e-5):
@@ -177,3 +178,24 @@ def seed_population_risks(chunks, thetas, alpha):
     mean = total / seen
     var = np.maximum(total_sq / seen - mean**2, 0.0)
     return mean, np.sqrt(var / seen)
+
+
+def seed_gaussian_linear_error(spec, w, offset=0.0):
+    """Frozen form of the exact 0-1 risk of predict +1 iff <w, x> >= offset,
+    with the Gaussian tails taken from scipy.stats.norm."""
+    w = np.asarray(w, dtype=float)
+    err = 0.0
+    for prior, mean, cov, label in (
+        (spec.prior_minus, spec.mean_minus, spec.cov_minus, -1),
+        (1.0 - spec.prior_minus, spec.mean_plus, spec.cov_plus, 1),
+    ):
+        m = float(w @ mean)
+        s = float(np.sqrt(max(w @ cov @ w, 0.0)))
+        if s == 0.0:
+            wrong = (m >= offset) if label == -1 else (m < offset)
+            err += prior * float(wrong)
+        elif label == -1:
+            err += prior * norm.sf((offset - m) / s)
+        else:
+            err += prior * norm.cdf((offset - m) / s)
+    return float(err)

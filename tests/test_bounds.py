@@ -149,6 +149,25 @@ def test_grouped_audits_match_one_query_audits_and_seed_form():
         assert audit.measured.tobytes() == _seed_audit(q, q.alpha, **kw).tobytes()
 
 
+def test_trial_datasets_drawn_once_per_group(monkeypatch):
+    queries = [BoundQuery(alpha=a, r=1.0, d=2, n=200, delta=0.2) for a in (0.5, 1.0, 2.0, np.inf)]
+    queries.insert(2, BoundQuery(alpha=2.0, r=1.0, d=2, n=100, delta=0.2))
+    kw = dict(trials=3, n_theta=20, pop_n=5_000, seed=6)
+    alone = [audit_generalization(SYMMETRIC, q, **kw) for q in queries]
+    draws = []
+
+    def counting_sample_gmm(spec, n, seed, **kwargs):
+        if seed[1] == bounds._STREAM_TRIAL:
+            draws.append((n, seed[2]))
+        return sample_gmm(spec, n, seed, **kwargs)
+
+    monkeypatch.setattr(bounds, "sample_gmm", counting_sample_gmm)
+    grouped = audit_generalizations(SYMMETRIC, queries, **kw)
+    assert sorted(draws) == [(n, t) for n in (100, 200) for t in range(3)]
+    for audit, one in zip(grouped, alone):
+        assert audit.measured.tobytes() == one.measured.tobytes()
+
+
 def test_uniform_discrepancy_audit_bit_identical_to_seed_form():
     q = BoundQuery(alpha=10.0, r=1.0, d=2, n=300, delta=0.2)
     kw = dict(trials=3, n_theta=30, pop_n=60_001, seed=2)

@@ -1,14 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import alpha_lab
 from alpha_lab import cli
 from alpha_lab.cli import main
 from alpha_lab.datasets import GmmSpec, sample_gmm
 from alpha_lab.slqc import SlqcCertificate, check_slqc_at, risk_oracle, sample_audit_points
-from alpha_lab.training import TrainConfig, train_gd
+from alpha_lab.training import TrainConfig, saturation_report, train_gd
 
 from oracles import seed_gradient_floor
 
@@ -61,6 +65,42 @@ def test_tilt_binomial(tmp_path):
     assert np.allclose(cols[:, 2 + 1], cols[:, 1], atol=1e-12)
 
 
+COLD_START = """
+import json, sys
+import alpha_lab, alpha_lab.cli
+loaded = lambda: sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize")))
+at_import = loaded()
+skewed = alpha_lab.GmmSpec(0.12, (-0.18, 1.49), (-0.01, 0.16),
+                           [[3.20, -2.02], [-2.02, 2.71]], [[4.19, 1.27], [1.27, 0.90]])
+w, b = alpha_lab.bayes_direction(skewed)
+after_fallback = loaded()
+rc = alpha_lab.cli.main(["tilt", "--pmf", "binomial:6,0.3", "--alphas", "2", "--out", sys.argv[1]])
+print(json.dumps({"at_import": at_import, "after_fallback": after_fallback, "rc": rc,
+                  "after_tilt": loaded(), "w": w.tolist(), "b": b}))
+"""
+
+
+def test_import_loads_no_scipy_stats_or_optimize(tmp_path):
+    src = os.path.dirname(os.path.dirname(alpha_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "tilt.csv"
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert got["at_import"] == []
+    # the lazy imports still work: the unequal-covariance fallback loads
+    # scipy.optimize (and not scipy.stats), a binomial tilt loads scipy.stats
+    assert "scipy.optimize" in got["after_fallback"]
+    assert not any(m.startswith("scipy.stats") for m in got["after_fallback"])
+    assert got["rc"] == 0 and "scipy.stats" in got["after_tilt"]
+    _, _, rows = read_csv(out)
+    assert len(rows) == 7
+    w, b = alpha_lab.bayes_direction(GmmSpec(
+        0.12, (-0.18, 1.49), (-0.01, 0.16), [[3.20, -2.02], [-2.02, 2.71]], [[4.19, 1.27], [1.27, 0.90]]
+    ))
+    assert got["w"] == w.tolist() and got["b"] == b
+
+
 def test_tilt_bad_pmf_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5 0.9")
@@ -99,6 +139,21 @@ def test_landscape_saturation_flag(tmp_path):
         "--n", "100", "--out", str(out), "--compare-infinity",
     ])
     assert rc == 2  # saturation audit needs alpha >= 1
+
+
+def test_landscape_saturation_shares_the_risk_grid(tmp_path):
+    gmm = write_gmm(tmp_path)
+    args = ["landscape", "--gmm", gmm, "--alpha", "10", "--radius", "1.0", "--grid", "7",
+            "--n", "300", "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert main(args + ["--out", str(tmp_path / "sat.csv"), "--compare-infinity"]) == 0
+    assert body_bytes(tmp_path / "sat.csv") == body_bytes(tmp_path / "plain.csv")
+    # the manifest keys are the report of the standalone audit
+    data = sample_gmm(cli.load_gmm(gmm), 300, seed=(3, 1), normalize=True)
+    report = saturation_report(data, 1.0, 7, 10.0)
+    comments, _, _ = read_csv(tmp_path / "sat.csv")
+    for key, val in report.items():
+        assert f"# {key}: {cli._fmt(val)}" in comments
 
 
 def test_landscape_rejects_non_2d(tmp_path):

@@ -2,7 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import alpha_lab.datasets
 from alpha_lab.datasets import (
     CorruptionSpec,
     GmmSpec,
@@ -28,7 +31,7 @@ from alpha_lab.training import (
     train_gd,
 )
 
-from oracles import seed_batched_gd
+from oracles import seed_batched_gd, seed_gaussian_linear_error
 
 SYMMETRIC = GmmSpec.symmetric()
 
@@ -218,6 +221,45 @@ def test_gaussian_linear_error_bayes_value():
     pred = np.where(data.X @ w >= b, 1, -1)
     mc = np.mean(pred != data.y)
     assert abs(mc - err) <= 3 * np.sqrt(err * (1 - err) / data.n)
+
+
+# a point mass at each mean: the zero-spread branch of the error
+DEGENERATE = GmmSpec(0.3, (-1.0, 0.5), (1.0, 2.0), np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.sampled_from([SYMMETRIC, SKEWED, DEGENERATE]),
+    w=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)).filter(lambda v: any(v)),
+    offset=st.floats(-1e4, 1e4),
+)
+def test_gaussian_linear_error_bit_identical_to_seed_form(spec, w, offset):
+    assert gaussian_linear_error(spec, w, offset).hex() == (
+        seed_gaussian_linear_error(spec, w, offset).hex()
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mean=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(
+        lambda v: np.hypot(*v) > 1e-3
+    ),
+    cov_scale=st.floats(0.05, 20.0),
+)
+def test_bayes_risk_bit_identical_to_seed_form(mean, cov_scale):
+    spec = GmmSpec.symmetric(mean, cov_scale)
+    w, b = bayes_direction(spec)
+    assert bayes_risk(spec).hex() == seed_gaussian_linear_error(spec, w, b).hex()
+
+
+def test_fallback_bayes_direction_bit_identical_to_seed_form(monkeypatch):
+    # the unequal-covariance fallback optimizes the error; with the frozen
+    # scipy.stats form substituted it must take the same path to the same rule
+    w, b = bayes_direction(SKEWED)
+    monkeypatch.setattr(alpha_lab.datasets, "gaussian_linear_error", seed_gaussian_linear_error)
+    w_seed, b_seed = bayes_direction(SKEWED)
+    assert w.tobytes() == w_seed.tobytes()
+    assert b.hex() == b_seed.hex()
 
 
 def test_bayes_risk_grid_integration_close_to_linear_error():
