@@ -46,15 +46,12 @@ from .datasets import (
 )
 from .logistic import (
     ParamVector,
-    RiskReport,
     alpha_lipschitz_gradient,
     alpha_lipschitz_risk,
     empirical_alpha_risk,
     hessian_min_eigenvalue,
-    population_alpha_risk,
     risk_gradient,
     risk_hessian,
-    risk_report,
     small_radius_admissible_alpha,
     small_radius_modulus,
     soft_classifier,

@@ -24,7 +24,8 @@ from . import logistic
 from .datasets import GmmSpec, bayes_risk, gaussian_linear_error, sample_gmm
 from .losses import canon_alpha, loss_sup_bound, margin_alpha_losses, margin_lipschitz_constant
 from .training import TrainConfig, _batched_gd
-from .util import derive_rng, softplus
+from .slqc import sample_audit_points
+from .util import softplus
 
 _STREAM_POP = 701
 _STREAM_THETA = 702
@@ -73,14 +74,6 @@ def uniform_discrepancy_bound(q: BoundQuery) -> float:
     base = sig * (2.0 * rd / np.sqrt(q.n) + 4.0 * np.sqrt(2.0 * np.log(4.0 / q.delta) / q.n))
     saturation = 0.0 if np.isinf(a) else float(softplus(rd) ** 2 / (2.0 * a))
     return float(base + saturation)
-
-
-def _ball_points(dim: int, radius: float, count: int, seed) -> np.ndarray:
-    rng = derive_rng(*seed)
-    u = rng.standard_normal((count, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    radii = radius * rng.random(count) ** (1.0 / dim)
-    return u * radii[:, None]
 
 
 def _population_risks(thetas: np.ndarray, spec: GmmSpec, alphas, pop_n: int, seed, chunk: int = 50_000):
@@ -151,7 +144,8 @@ def _run_audits(spec, jobs, trials, n_theta, pop_n, seed) -> List[Generalization
     for (d, r), members in population_groups([q for q, _, _ in jobs]).items():
         if d != spec.dim:
             raise ValueError(f"query dimension d={d} differs from the mixture's {spec.dim}")
-        thetas = _ball_points(d, r, n_theta, (seed, _STREAM_THETA))
+        # the audited vectors are the uniform-ball half of a 2 * n_theta audit sweep
+        thetas = sample_audit_points(d, r, 2 * n_theta, (seed, _STREAM_THETA))[:n_theta]
         pop_alphas = list(dict.fromkeys(canon_alpha(jobs[i][1]) for i in members))
         pop, pop_se = _population_risks(thetas, spec, pop_alphas, pop_n, (seed, _STREAM_POP))
         by_n: Dict[int, List[int]] = {}

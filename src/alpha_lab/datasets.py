@@ -7,9 +7,9 @@ class imbalance (subsample to exact per-class counts, first) and
 asymmetric label flips (second).  Flipped samples keep their provenance
 so experiments can audit what the corruption did.
 
-Features are optionally mapped to [0,1]^d through a fixed clipping box
-(the same affine map for train and test); raw-coordinate datasets carry
-``normalized=False`` and skip the unit-box invariant.
+Features are optionally mapped to [0,1]^d through the fixed clipping box
+``CLIP_BOX`` (the same affine map for train and test); raw-coordinate
+datasets carry ``normalized=False`` and skip the unit-box invariant.
 
 Importing this module (and ``alpha_lab``) loads numpy and scipy.special
 only: Gaussian tails use ``scipy.special.ndtr``, which is what
@@ -26,9 +26,12 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from .util import derive_rng
+from .util import seeded_rng
 
-DEFAULT_CLIP_BOX = (-6.0, 6.0)
+CLIP_BOX = (-6.0, 6.0)
+BAYES_ANGLE_STEP_DEG = 0.25
+BAYES_GRID_STEP = 0.01
+BAYES_GRID_HALFWIDTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -147,21 +150,13 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def normalize_features(X: np.ndarray, clip_box=DEFAULT_CLIP_BOX) -> np.ndarray:
-    """Fixed affine map of raw coordinates into [0,1]^d via a clipping box."""
-    lo, hi = float(clip_box[0]), float(clip_box[1])
-    if not hi > lo:
-        raise ValueError("clip box must have hi > lo")
+def normalize_features(X: np.ndarray) -> np.ndarray:
+    """Fixed affine map of raw coordinates into [0,1]^d via ``CLIP_BOX``."""
+    lo, hi = CLIP_BOX
     return (np.clip(X, lo, hi) - lo) / (hi - lo)
 
 
-def sample_gmm(
-    spec: GmmSpec,
-    n: int,
-    seed,
-    normalize: bool = False,
-    clip_box=DEFAULT_CLIP_BOX,
-) -> LabeledDataset:
+def sample_gmm(spec: GmmSpec, n: int, seed, normalize: bool = False) -> LabeledDataset:
     """Draw n labeled samples; deterministic given the seed.
 
     Labels come from the prior; features from the class-conditional
@@ -169,7 +164,7 @@ def sample_gmm(
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
-    rng = derive_rng(*_seed_keys(seed))
+    rng = seeded_rng(seed)
     y = np.where(rng.random(n) < spec.prior_minus, -1, 1)
     z = rng.standard_normal((n, spec.dim))
     X = np.empty((n, spec.dim))
@@ -180,13 +175,13 @@ def sample_gmm(
         mask = y == label
         X[mask] = mean + z[mask] @ _psd_factor(cov).T
     if normalize:
-        X = normalize_features(X, clip_box)
+        X = normalize_features(X)
     return LabeledDataset(X, y, np.zeros(n, bool), y.copy(), normalized=normalize)
 
 
-def sample_balanced_gmm(spec: GmmSpec, n_per_class: int, seed, normalize=False, clip_box=DEFAULT_CLIP_BOX) -> LabeledDataset:
+def sample_balanced_gmm(spec: GmmSpec, n_per_class: int, seed, normalize=False) -> LabeledDataset:
     """Exactly n_per_class samples of each label (clean test sets)."""
-    rng = derive_rng(*_seed_keys(seed))
+    rng = seeded_rng(seed)
     X = np.empty((2 * n_per_class, spec.dim))
     y = np.concatenate([-np.ones(n_per_class, int), np.ones(n_per_class, int)])
     for label, mean, cov in (
@@ -196,14 +191,8 @@ def sample_balanced_gmm(spec: GmmSpec, n_per_class: int, seed, normalize=False, 
         z = rng.standard_normal((n_per_class, spec.dim))
         X[y == label] = mean + z @ _psd_factor(cov).T
     if normalize:
-        X = normalize_features(X, clip_box)
+        X = normalize_features(X)
     return LabeledDataset(X, y, np.zeros(2 * n_per_class, bool), y.copy(), normalized=normalize)
-
-
-def _seed_keys(seed):
-    if isinstance(seed, (tuple, list)):
-        return tuple(seed)
-    return (int(seed),)
 
 
 def corrupt(data: LabeledDataset, spec: CorruptionSpec, seed) -> LabeledDataset:
@@ -213,7 +202,7 @@ def corrupt(data: LabeledDataset, spec: CorruptionSpec, seed) -> LabeledDataset:
     identity.  Flipped samples get ``flipped=True`` and keep their
     original class in ``origin``.
     """
-    rng = derive_rng(*_seed_keys(seed))
+    rng = seeded_rng(seed)
     idx_minus = np.flatnonzero(data.y == -1)
     idx_plus = np.flatnonzero(data.y == 1)
 
@@ -268,12 +257,13 @@ def gaussian_linear_error(spec: GmmSpec, w, offset: float = 0.0) -> float:
     return float(err)
 
 
-def bayes_direction(spec: GmmSpec, angle_step_deg: float = 0.25):
+def bayes_direction(spec: GmmSpec):
     """Best linear rule (unit direction, offset) for the clean mixture.
 
     Shared covariance: the closed form solve(Sigma, mu_plus - mu_minus)
     with the boundary through the midpoint (prior-shifted if unequal).
-    Otherwise a 2-D fallback scans directions at ``angle_step_deg``
+    Otherwise a 2-D fallback scans directions every 2 degrees, then
+    within 3 degrees of the best at ``BAYES_ANGLE_STEP_DEG`` (0.25)
     resolution, optimizing the offset exactly along each direction.
     """
     if spec.shared_covariance:
@@ -303,25 +293,26 @@ def bayes_direction(spec: GmmSpec, angle_step_deg: float = 0.25):
         )
         return w, float(res.x), float(res.fun)
 
-    # coarse sweep, then refine near the incumbent at the requested step
+    # coarse sweep, then refine near the incumbent at the fine step
     best = (None, None, np.inf)
     for phi in np.arange(0.0, 360.0, 2.0):
         cand = best_offset(phi)
         if cand[2] < best[2]:
             best, best_phi = cand, phi
-    for phi in np.arange(best_phi - 3.0, best_phi + 3.0, angle_step_deg):
+    for phi in np.arange(best_phi - 3.0, best_phi + 3.0, BAYES_ANGLE_STEP_DEG):
         cand = best_offset(phi)
         if cand[2] < best[2]:
             best = cand
     return best[0], best[1]
 
 
-def bayes_risk(spec: GmmSpec, grid_step: float = 0.01, box_halfwidth: float = 8.0) -> float:
+def bayes_risk(spec: GmmSpec) -> float:
     """True Bayes 0-1 risk of the mixture.
 
     Shared covariance reduces to a 1-D Gaussian tail along the optimal
-    linear rule; otherwise a 2-D grid integration of
-    min(p_- f_-, p_+ f_+) at the given step.
+    linear rule; otherwise a 2-D grid integration of min(p_- f_-, p_+ f_+)
+    with step ``BAYES_GRID_STEP`` (0.01) over the square of half-width
+    ``BAYES_GRID_HALFWIDTH`` (8) around the midpoint of the class means.
     """
     if spec.shared_covariance:
         w, b = bayes_direction(spec)
@@ -331,11 +322,12 @@ def bayes_risk(spec: GmmSpec, grid_step: float = 0.01, box_halfwidth: float = 8.
     from scipy.stats import multivariate_normal
 
     center = 0.5 * (spec.mean_minus + spec.mean_plus)
-    g = np.arange(-box_halfwidth, box_halfwidth + grid_step / 2, grid_step)
+    step, half = BAYES_GRID_STEP, BAYES_GRID_HALFWIDTH
+    g = np.arange(-half, half + step / 2, step)
     xx, yy = np.meshgrid(center[0] + g, center[1] + g, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
     f_minus = multivariate_normal(spec.mean_minus, spec.cov_minus).pdf(pts)
     f_plus = multivariate_normal(spec.mean_plus, spec.cov_plus).pdf(pts)
     dens = np.minimum(spec.prior_minus * f_minus, (1.0 - spec.prior_minus) * f_plus)
-    return float(dens.sum() * grid_step**2)
+    return float(dens.sum() * step**2)
 

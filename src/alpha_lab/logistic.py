@@ -10,26 +10,30 @@ and the Hessian weight is
 
     F2 = g(z)^(1 - 1/alpha) * g(-z) * (g(z) - (1 - 1/alpha) * g(-z)),
 
-with z the margin.  For alpha <= 1, F2 is bounded below on the ball by
-the strong-convexity modulus; a small-radius variant covers a range of
-alpha > 1.  The module also exposes the Lipschitz constants in theta and
-in 1/alpha that the certificate and generalization machinery consume.
+with z the margin; ``losses`` holds the one kernel for each
+(``_grad_weights`` and ``margin_loss_second_derivative``).  For
+alpha <= 1, F2 is bounded below on the ball by the strong-convexity
+modulus; a small-radius variant covers a range of alpha > 1.  The module
+also exposes the Lipschitz constants in theta and in 1/alpha that the
+certificate and generalization machinery consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
-from .datasets import GmmSpec, LabeledDataset, sample_gmm
+from .datasets import LabeledDataset
 from .losses import (
+    _grad_weights,
+    _log_sigmoid_pair,
     canon_alpha,
     margin_alpha_loss,
     margin_alpha_losses,
     margin_lipschitz_constant,
+    margin_loss_second_derivative,
 )
 from .util import log_sigmoid, softplus
 
@@ -57,16 +61,6 @@ class ParamVector:
     @property
     def dim(self) -> int:
         return self.theta.size
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Risk value with first-order (and optionally curvature) diagnostics."""
-
-    risk: float
-    gradient: np.ndarray
-    gradient_norm: float
-    hessian_min_eig: Optional[float] = None
 
 
 def project_to_ball(theta: np.ndarray, radius: float, center=None) -> np.ndarray:
@@ -129,41 +123,6 @@ def empirical_alpha_risk(theta, data, alpha) -> float:
     return float(np.mean(margin_alpha_loss(alpha, z)))
 
 
-def risk_with_se(theta, data, alpha):
-    """(mean, standard error) of the per-sample losses."""
-    X, y = _as_xy(data)
-    vals = margin_alpha_loss(alpha, margins(theta, X, y))
-    n = vals.size
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else np.inf
-
-
-def population_alpha_risk(theta, alpha, spec: GmmSpec, n_samples: int, seed, normalize=False):
-    """Monte-Carlo estimate (mean, standard error) of the population risk."""
-    pool = sample_gmm(spec, n_samples, seed, normalize=normalize)
-    return risk_with_se(theta, pool, alpha)
-
-
-def _log_sigmoid_pair(z: np.ndarray):
-    """(log g(z), log g(-z)): the alpha-free part of the F1 and F2 weights."""
-    return log_sigmoid(z), log_sigmoid(-z)
-
-
-def _grad_weights(alpha: float, lp: np.ndarray, lm: np.ndarray, out=None) -> np.ndarray:
-    # |F1| = g(z)^(1-1/alpha) * g(-z), from (lp, lm) = _log_sigmoid_pair(z),
-    # computed in ``out`` (a fresh array when None)
-    b = 0.0 if np.isinf(alpha) else 1.0 / alpha
-    out = np.multiply(lp, 1.0 - b, out=out)
-    out += lm
-    with np.errstate(over="ignore"):
-        return np.exp(out, out=out)
-
-
-def _curv_weights(alpha: float, z: np.ndarray) -> np.ndarray:
-    b = 0.0 if np.isinf(alpha) else 1.0 / alpha
-    scale = _grad_weights(alpha, *_log_sigmoid_pair(z))
-    return scale * (expit(z) - (1.0 - b) * expit(-z))
-
-
 def risk_gradient(theta, data, alpha) -> np.ndarray:
     """Gradient of the empirical risk: mean of F1 * x."""
     a = canon_alpha(alpha)
@@ -223,8 +182,7 @@ def risk_hessian(theta, data, alpha) -> np.ndarray:
     """Hessian of the empirical risk: mean of F2 * x x^T (symmetrized)."""
     a = canon_alpha(alpha)
     X, y = _as_xy(data)
-    z = margins(theta, X, y)
-    f2 = _curv_weights(a, z)
+    f2 = margin_loss_second_derivative(a, margins(theta, X, y))
     H = (X * f2[:, None]).T @ X / X.shape[0]
     return 0.5 * (H + H.T)
 
@@ -237,16 +195,6 @@ def empirical_second_moment(data) -> np.ndarray:
     """Sigma-hat = mean of x x^T over the sample."""
     X, _ = _as_xy(data)
     return X.T @ X / X.shape[0]
-
-
-def risk_report(theta, data, alpha, with_hessian: bool = False) -> RiskReport:
-    g = risk_gradient(theta, data, alpha)
-    return RiskReport(
-        risk=empirical_alpha_risk(theta, data, alpha),
-        gradient=g,
-        gradient_norm=float(np.linalg.norm(g)),
-        hessian_min_eig=hessian_min_eigenvalue(theta, data, alpha) if with_hessian else None,
-    )
 
 
 def strong_convexity_modulus(alpha, r_sqrt_d: float) -> float:

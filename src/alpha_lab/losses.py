@@ -137,30 +137,46 @@ def margin_alpha_loss(alpha, z):
     return out
 
 
-def margin_loss_derivative(alpha, z):
-    """First derivative of the margin loss; strictly negative for finite z."""
-    a = canon_alpha(alpha)
-    b = _beta(a)
-    z = np.asarray(z, dtype=float)
+def _log_sigmoid_pair(z):
+    """(log g(z), log g(-z)): the alpha-free part of the F1 and F2 weights."""
+    return log_sigmoid(z), log_sigmoid(-z)
+
+
+def _grad_weights(alpha: float, lp, lm, out=None) -> np.ndarray:
+    """|F1| = g(z)^(1-1/alpha) * g(-z) = exp((1-1/alpha) * lp + lm), alpha canonical.
+
+    ``(lp, lm) = _log_sigmoid_pair(z)``; written into ``out``, which is
+    allocated when None (0-d for a scalar z).
+    """
+    if out is None:
+        out = np.empty_like(lp)
+    np.multiply(lp, 1.0 - _beta(alpha), out=out)
+    out += lm
     with np.errstate(over="ignore"):
-        out = -np.exp((1.0 - b) * log_sigmoid(z) + log_sigmoid(-z))
+        return np.exp(out, out=out)
+
+
+def margin_loss_derivative(alpha, z):
+    """First derivative of the margin loss, -|F1|; strictly negative for finite z."""
+    z = np.asarray(z, dtype=float)
+    out = _grad_weights(canon_alpha(alpha), *_log_sigmoid_pair(z))
+    np.negative(out, out=out)
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def margin_loss_second_derivative(alpha, z):
-    """Second derivative of the margin loss.
+    """Second derivative of the margin loss, the Hessian weight F2.
 
-    Nonnegative everywhere for alpha <= 1; for alpha > 1 it changes sign
-    at z = log(1 - 1/alpha).
+    |F1| * (g(z) - (1 - 1/alpha) * g(-z)).  Nonnegative everywhere for
+    alpha <= 1; for alpha > 1 it changes sign at z = log(1 - 1/alpha).
     """
     a = canon_alpha(alpha)
-    b = _beta(a)
     z = np.asarray(z, dtype=float)
+    out = _grad_weights(a, *_log_sigmoid_pair(z))
     with np.errstate(over="ignore"):
-        scale = np.exp((1.0 - b) * log_sigmoid(z) + log_sigmoid(-z))
-        out = scale * (expit(z) - (1.0 - b) * expit(-z))
+        out *= expit(z) - (1.0 - _beta(a)) * expit(-z)
     if out.ndim == 0:
         return float(out)
     return out

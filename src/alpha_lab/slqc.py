@@ -28,7 +28,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import logistic
-from .util import derive_rng
+from .util import derive_rng, seeded_rng
 
 GRAD_EPS = 1e-12  # "nonzero gradient" threshold against float noise
 # Margins (theta rows x samples) per batched risk-oracle call.  Each float64
@@ -81,11 +81,11 @@ class NgdConfig:
 class OracleFunction:
     """Value/gradient pair over R^d, spot-checked at registration.
 
-    The gradient is compared against central finite differences at a few
-    fixed points.  ``values`` and ``grads`` are optional batch evaluators:
-    given an (m, d) array of points they return the m values and the
-    (m, d) gradients, and they must agree with ``value`` and ``grad``
-    (checked at the same points).  Without them, ``values_at`` and
+    The gradient is compared against central finite differences at
+    ``check_points`` fixed points (0.1 times standard normals).  The
+    optional batch evaluators ``values`` and ``grads`` map an (m, d) array
+    of points to the m values and the (m, d) gradients and must agree with
+    ``value`` and ``grad`` at those points; without them, ``values_at`` and
     ``grads_at`` loop over the pointwise evaluators.
     """
 
@@ -93,14 +93,13 @@ class OracleFunction:
     grad: Callable[[np.ndarray], np.ndarray]
     dim: int
     check_points: int = 3
-    check_scale: float = 0.1
     values: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grads: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         rng = derive_rng(20211115)
         for _ in range(self.check_points):
-            theta = self.check_scale * rng.standard_normal(self.dim)
+            theta = 0.1 * rng.standard_normal(self.dim)
             g = np.asarray(self.grad(theta), dtype=float)
             fd = finite_difference_gradient(self.value, theta)
             if np.max(np.abs(g - fd)) > 1e-5 * max(1.0, float(np.max(np.abs(g)))):
@@ -351,21 +350,18 @@ class BootstrapSequences:
     horizon: int
 
 
-def bootstrap_sequences(
-    alpha0, eps0, rho0, g, L, J, r, N: int,
-    grad_norm_fn: Optional[Callable[[float], float]] = None,
-) -> BootstrapSequences:
+def bootstrap_sequences(alpha0, eps0, rho0, g, L, J, r, N: int) -> BootstrapSequences:
     """Run the step-1/N recursion for n = 0..N.
 
         alpha_n = alpha_{n-1} + 1/N
         eps_n   = eps_{n-1} + 2L / (alpha_n alpha_{n-1} N)
         rho_n   = rho_{n-1} - (rho_{n-1} + 2r) J
-                  / (alpha_n alpha_{n-1} G_{n-1} - J/N) / N
+                  / (alpha_n alpha_{n-1} g - J/N) / N
 
-    ``G_{n-1}`` is the gradient norm at the current alpha when
-    ``grad_norm_fn`` is given, else the uniform lower bound ``g`` (the
-    worst case).  Requires N > J / (alpha0^2 g); rho stays positive for
-    all n up to the returned horizon floor(rho0/(rho0+2r) * alpha0^2 g/J * N).
+    The gradient norm is held at its uniform lower bound ``g`` at every
+    step (the worst case).  Requires N > J / (alpha0^2 g); rho stays
+    positive for all n up to the returned horizon
+    floor(rho0/(rho0+2r) * alpha0^2 g/J * N).
     """
     a0 = float(alpha0)
     if min(eps0, rho0, g, J, r) <= 0.0 or L < 0.0 or a0 < 1.0:
@@ -381,24 +377,23 @@ def bootstrap_sequences(
     for n in range(1, N + 1):
         a_prev = alphas[n - 1]
         a_cur = a_prev + 1.0 / N
-        G = g if grad_norm_fn is None else float(grad_norm_fn(a_prev))
         alphas[n] = a_cur
         epsilons[n] = epsilons[n - 1] + 2.0 * L / (a_cur * a_prev * N)
-        rhos[n] = rhos[n - 1] - (rhos[n - 1] + 2.0 * r) * J / (a_cur * a_prev * G - J / N) / N
+        rhos[n] = rhos[n - 1] - (rhos[n - 1] + 2.0 * r) * J / (a_cur * a_prev * g - J / N) / N
     horizon = math.floor(rho0 / (rho0 + 2.0 * r) * a0**2 * g / J * N)
     return BootstrapSequences(alphas, epsilons, rhos, min(horizon, N))
 
 
-def sample_audit_points(dim: int, radius: float, budget: int = 512, seed=0, center=None) -> np.ndarray:
-    """Audit sweep points: uniform ball samples plus concentric spheres."""
-    rng = derive_rng(*((seed,) if isinstance(seed, int) else tuple(seed)))
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+def sample_audit_points(dim: int, radius: float, budget: int = 512, seed=0) -> np.ndarray:
+    """Audit sweep points: ``budget // 2`` uniform ball samples, drawn first
+    from the seed's stream, then points on concentric spheres.
+    """
+    rng = seeded_rng(seed)
     n_ball = budget // 2
-    pts = []
     u = rng.standard_normal((n_ball, dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     radii = radius * rng.random(n_ball) ** (1.0 / dim)
-    pts.append(c + u * radii[:, None])
+    pts = [u * radii[:, None]]
     n_sph = budget - n_ball
     fractions = (0.25, 0.5, 0.75, 1.0)
     per = [n_sph // len(fractions)] * len(fractions)
@@ -406,7 +401,7 @@ def sample_audit_points(dim: int, radius: float, budget: int = 512, seed=0, cent
     for frac, k in zip(fractions, per):
         v = rng.standard_normal((k, dim))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        pts.append(c + frac * radius * v)
+        pts.append(frac * radius * v)
     return np.vstack(pts)
 
 

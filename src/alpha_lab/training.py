@@ -38,6 +38,8 @@ _STREAM_DATA = 101
 _STREAM_CORRUPT = 102
 _STREAM_TEST = 103
 
+TEST_PER_CLASS = 1000
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -251,22 +253,17 @@ def run_synthetic_experiment(
     runs: int,
     config: TrainConfig,
     train_pool: int = 400,
-    test_per_class: int = 1000,
-    average: str = "mean",
 ) -> ExperimentSummary:
     """Seeded draw/corrupt/train loop with cross-run predictor averaging.
 
     Every run draws a fresh pool (seed derived from the master seed and
     the run index), corrupts it, and trains one predictor per alpha on
-    the same corrupted sample.  Test accuracy is measured for the
-    averaged predictor on a fresh clean balanced test set, regardless of
-    the corruption.  ``average`` may be "mean" or "median" (robustness
-    check; the averaging rule is a harness convention).
+    the same corrupted sample.  Test accuracy is measured for the mean
+    predictor over runs on a fresh clean balanced test set of
+    ``TEST_PER_CLASS`` samples per class, regardless of the corruption.
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    if average not in ("mean", "median"):
-        raise ValueError("average must be 'mean' or 'median'")
     alphas = [canon_alpha(a) for a in alphas]
     master = config.seed
     normalize = corruption.feature_normalization
@@ -282,7 +279,7 @@ def run_synthetic_experiment(
     y = np.stack([d.y for d in datasets]).astype(float)
 
     test = sample_balanced_gmm(
-        spec, test_per_class, seed=(master, _STREAM_TEST), normalize=normalize
+        spec, TEST_PER_CLASS, seed=(master, _STREAM_TEST), normalize=normalize
     )
     bayes_w, _ = bayes_direction(spec)
 
@@ -299,7 +296,7 @@ def run_synthetic_experiment(
         thetas, reports = _batched_gd(X, y, replace(config, alpha=a))
         run_thetas[i] = thetas
         run_conv[i] = [rep.converged for rep in reports]
-        avg = thetas.mean(axis=0) if average == "mean" else np.median(thetas, axis=0)
+        avg = thetas.mean(axis=0)
         avg_theta[i] = avg
         angles[i] = angle_between(avg, bayes_w)
         pred = np.where(test.X @ avg >= 0.0, 1, -1)
@@ -320,20 +317,21 @@ def run_synthetic_experiment(
     )
 
 
-def parameter_lattice(radius: float, grid_size: int) -> np.ndarray:
-    """1-D lattice over [-radius, radius]; a single point sits at 0."""
+def _lattice_risks(data: LabeledDataset, alphas, radius: float, grid_size: int):
+    """(axis, thetas, risks) over the square lattice in the 2-D parameter plane.
+
+    ``axis`` spans [-radius, radius] in grid_size points (one point sits
+    at 0), ``thetas`` holds the grid_size^2 lattice points row-major, and
+    row k of ``risks`` the empirical risks at them for ``alphas[k]``.
+    """
+    if data.dim != 2:
+        raise ValueError("landscape grids are defined for d = 2")
     if grid_size < 1:
         raise ValueError("grid size must be positive")
-    if grid_size == 1:
-        return np.zeros(1)
-    return np.linspace(-radius, radius, grid_size)
-
-
-def _lattice_thetas(radius: float, grid_size: int):
-    """(axis, thetas): the lattice axis and its grid_size^2 points, row-major."""
-    axis = parameter_lattice(radius, grid_size)
+    axis = np.zeros(1) if grid_size == 1 else np.linspace(-radius, radius, grid_size)
     t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-    return axis, np.stack([t1.ravel(), t2.ravel()], axis=1)
+    thetas = np.stack([t1.ravel(), t2.ravel()], axis=1)
+    return axis, thetas, logistic.risks(thetas, data, alphas)
 
 
 def landscape_grid(data: LabeledDataset, alpha, radius: float, grid_size: int):
@@ -341,10 +339,7 @@ def landscape_grid(data: LabeledDataset, alpha, radius: float, grid_size: int):
 
     Returns (axis, risk matrix) with risk[i, j] at theta = (axis[i], axis[j]).
     """
-    if data.dim != 2:
-        raise ValueError("landscape grids are defined for d = 2")
-    axis, thetas = _lattice_thetas(radius, grid_size)
-    risks = logistic.risk_batch(thetas, data, alpha)
+    axis, _, (risks,) = _lattice_risks(data, [alpha], radius, grid_size)
     return axis, risks.reshape(grid_size, grid_size)
 
 
@@ -370,12 +365,9 @@ def _landscape_saturation(data: LabeledDataset, alpha, radius: float, grid_size:
     a = canon_alpha(alpha)
     if not a >= 1.0:
         raise ValueError("saturation audit needs alpha >= 1")
-    if data.dim != 2:
-        raise ValueError("saturation grids are defined for d = 2")
     if not data.normalized:
         raise ValueError("saturation envelopes assume unit-box features; normalize the data")
-    axis, thetas = _lattice_thetas(radius, grid_size)
-    r_a, r_inf = logistic.risks(thetas, data, [a, np.inf])
+    axis, thetas, (r_a, r_inf) = _lattice_risks(data, [a, np.inf], radius, grid_size)
     g_a, g_inf = logistic.risk_gradients(thetas, data, [a, np.inf])
     norms = np.linalg.norm(thetas, axis=1)
     sqrt_d = np.sqrt(2.0)

@@ -22,6 +22,11 @@ def derive_rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(flat))
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """``derive_rng`` of a sampler seed: one integer, or a tuple or list of them."""
+    return derive_rng(*(seed if isinstance(seed, (tuple, list)) else (seed,)))
+
+
 def thread_count() -> int:
     """Reads ALPHA_LAB_THREADS; falls back to the machine core count.
 

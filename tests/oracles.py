@@ -2,8 +2,9 @@
 
 Deliberately simple: central finite differences, direct enumeration,
 Monte-Carlo suprema and frozen copies of the original gradient-descent
-loop, gradient, margin-loss, population-risk and Gaussian-error forms,
-sharing no code path with the library formulas they check.
+loop, gradient, margin-loss (and its two derivatives), ball-sampler,
+population-risk and Gaussian-error forms, sharing no code path with the
+library formulas they check.
 """
 
 import numpy as np
@@ -156,6 +157,43 @@ def seed_margin_alpha_loss(alpha, z):
     with np.errstate(over="ignore"):
         t = (1.0 / alpha - 1.0) * np.logaddexp(0.0, -z)
         return alpha / (alpha - 1.0) * -np.expm1(t)
+
+
+def seed_margin_loss_derivative(alpha, z):
+    """Frozen copy of the original first derivative of the margin loss.
+
+    ``alpha`` must already be canonical; scalar z gives a float.
+    """
+    b = 0.0 if np.isinf(alpha) else 1.0 / alpha
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        out = -np.exp((1.0 - b) * -np.logaddexp(0.0, -z) + -np.logaddexp(0.0, z))
+    return float(out) if out.ndim == 0 else out
+
+
+def seed_margin_loss_second_derivative(alpha, z):
+    """Frozen copy of the original second derivative (the Hessian weight F2).
+
+    ``alpha`` must already be canonical; scalar z gives a float.
+    """
+    b = 0.0 if np.isinf(alpha) else 1.0 / alpha
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        scale = np.exp((1.0 - b) * -np.logaddexp(0.0, -z) + -np.logaddexp(0.0, z))
+        out = scale * (expit(z) - (1.0 - b) * expit(-z))
+    return float(out) if out.ndim == 0 else out
+
+
+def seed_ball_points(dim, radius, count, seed):
+    """Frozen copy of the original uniform draw of ``count`` points in the ball.
+
+    ``seed`` is the tuple of integer keys of the stream.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([int(k) for k in seed]))
+    u = rng.standard_normal((count, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    radii = radius * rng.random(count) ** (1.0 / dim)
+    return u * radii[:, None]
 
 
 def seed_population_risks(chunks, thetas, alpha):

@@ -17,7 +17,7 @@ from alpha_lab.datasets import GmmSpec, bayes_risk, sample_gmm
 from alpha_lab.losses import margin_lipschitz_constant, loss_sup_bound
 from alpha_lab.util import softplus
 
-from oracles import seed_margin_alpha_loss, seed_population_risks
+from oracles import seed_ball_points, seed_margin_alpha_loss, seed_population_risks
 
 SYMMETRIC = GmmSpec.symmetric()
 
@@ -96,7 +96,7 @@ def _seed_pool_chunks(pop_n, seed, chunk=50_000):
 
 def test_population_risks_bit_identical_to_seed_form():
     # 120,001 draws: two full chunks and a partial one; alpha 2 appears twice
-    thetas = bounds._ball_points(2, 1.0, 40, (3, 5))
+    thetas = seed_ball_points(2, 1.0, 40, (3, 5))
     seed = (3, bounds._STREAM_POP)
     alphas = [0.5, 1.0, 2.0, 10.0, np.inf, 2.0]
     chunks = _seed_pool_chunks(120_001, seed)
@@ -113,7 +113,7 @@ def test_population_risks_bit_identical_to_seed_form():
 
 def _seed_audit(query, pop_alpha, trials, n_theta, pop_n, seed):
     """The original per-query audit loop on the oracle population risks."""
-    thetas = bounds._ball_points(query.d, query.r, n_theta, (seed, bounds._STREAM_THETA))
+    thetas = seed_ball_points(query.d, query.r, n_theta, (seed, bounds._STREAM_THETA))
     chunks = _seed_pool_chunks(pop_n, (seed, bounds._STREAM_POP))
     pop, pop_se = seed_population_risks(chunks, thetas, pop_alpha)
     measured = np.zeros(trials)

@@ -9,13 +9,11 @@ from alpha_lab.logistic import (
     empirical_alpha_risk,
     empirical_second_moment,
     hessian_min_eigenvalue,
-    population_alpha_risk,
     risk_batch,
     risk_gradient,
     risk_gradient_batch,
     risk_gradients,
     risk_hessian,
-    risk_report,
     risks,
     small_radius_admissible_alpha,
     small_radius_modulus,
@@ -256,12 +254,9 @@ def test_infinity_risk_is_randomized_error():
     assert r_inf == pytest.approx(np.mean(sigmoid(-y * (X @ theta))), rel=1e-12)
 
 
-def test_risk_report_and_batches():
+def test_batches_match_pointwise():
     rng = np.random.default_rng(900)
     theta, X, y = random_instance(rng, 25, 2)
-    rep = risk_report(theta, (X, y), 2.0, with_hessian=True)
-    assert rep.gradient_norm == pytest.approx(np.linalg.norm(rep.gradient), abs=1e-12)
-    assert rep.hessian_min_eig is not None
     thetas = np.stack([theta, 2 * theta, np.zeros_like(theta)])
     risks = risk_batch(thetas, (X, y), 2.0)
     grads = risk_gradient_batch(thetas, (X, y), 2.0)
@@ -302,23 +297,13 @@ def test_risks_match_per_alpha_losses():
     assert np.array_equal(risks(thetas, data, [np.inf]), together[[4]])
 
 
-def test_population_risk_sampler():
-    spec = GmmSpec.symmetric()
-    mean, se = population_alpha_risk(np.array([0.5, 0.5]), 1.0, spec, 20_000, seed=3)
-    mean2, _ = population_alpha_risk(np.array([0.5, 0.5]), 1.0, spec, 20_000, seed=3)
-    assert mean == mean2  # deterministic under the seed
-    assert se < 0.02
-
-
 def test_factored_curvature_weight_forms_agree():
     # F2 as implemented vs the factored form used in the small-radius proof
     rng = np.random.default_rng(1000)
-    from alpha_lab.logistic import _curv_weights
-
     for alpha in (0.5, 1.0, 1.2, 3.0, np.inf):
         z = rng.uniform(-3, 3, size=100)
         b = 0.0 if np.isinf(alpha) else 1.0 / alpha
-        f2 = _curv_weights(alpha, z)
+        f2 = margin_loss_second_derivative(alpha, z)
         factored = sigmoid(z) ** (1.0 - b) * (
             sigmoid(z) * sigmoid(-z) - (1.0 - b) * sigmoid(-z) ** 2
         )

@@ -18,7 +18,13 @@ from alpha_lab.losses import (
     sigmoid,
 )
 
-from oracles import mc_slope_sup, scalar_central_diff, seed_margin_alpha_loss
+from oracles import (
+    mc_slope_sup,
+    scalar_central_diff,
+    seed_margin_alpha_loss,
+    seed_margin_loss_derivative,
+    seed_margin_loss_second_derivative,
+)
 
 
 def test_canon_alpha_guard_band_and_validation():
@@ -109,6 +115,25 @@ def test_split_loss_bit_identical_to_seed_form(z, alphas):
         assert np.array_equal(vals, ref)
         assert np.array_equal(margin_alpha_loss(a, z), ref)
         assert margin_alpha_loss(a, z[0]) == float(ref[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    z=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=40),
+    alpha=st.sampled_from([0.5, 1.0, 1.0 + 5e-10, 1.0 - 5e-10, 4.0, 1e6, np.inf]),
+)
+def test_derivatives_on_the_shared_weight_kernel_bit_identical_to_seed_form(z, alpha):
+    # the F1 kernel shared with the risk gradient changes no bit of either
+    # derivative, for arrays and for scalars (which come back as floats)
+    z = np.array(z)
+    a = canon_alpha(alpha)
+    for fn, seed_fn in (
+        (margin_loss_derivative, seed_margin_loss_derivative),
+        (margin_loss_second_derivative, seed_margin_loss_second_derivative),
+    ):
+        assert np.array_equal(fn(alpha, z), seed_fn(a, z))
+        scalar = fn(alpha, float(z[0]))
+        assert type(scalar) is float and scalar == seed_fn(a, float(z[0]))
 
 
 def test_split_loss_shares_one_buffer():

@@ -283,6 +283,16 @@ def test_sample_audit_points_shapes_and_radii():
     assert np.linalg.norm(pts, axis=1).max() <= 2.0 + 1e-9
 
 
+def test_sample_audit_points_accepts_numpy_integer_seeds():
+    # a numpy integer seeds the same stream as the equal int, as in sample_gmm
+    pts = sample_audit_points(2, 1.0, 8, seed=np.int64(5))
+    assert np.array_equal(pts, sample_audit_points(2, 1.0, 8, seed=5))
+    assert np.array_equal(
+        sample_audit_points(2, 1.0, 8, seed=(np.int64(5), np.int32(12))),
+        sample_audit_points(2, 1.0, 8, seed=(5, 12)),
+    )
+
+
 def test_lipschitz_certificates_pass_on_strongly_convex_risk():
     # alpha <= 1 risk over unit-box data: every (eps, C_d, theta0) passes
     rng = np.random.default_rng(11)
