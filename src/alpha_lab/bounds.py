@@ -32,6 +32,8 @@ _STREAM_THETA = 702
 _STREAM_TRIAL = 703
 _STREAM_TREND = 704
 
+POP_CHUNK = 50_000  # population samples drawn per Monte-Carlo chunk
+
 
 @dataclass(frozen=True)
 class BoundQuery:
@@ -76,19 +78,19 @@ def uniform_discrepancy_bound(q: BoundQuery) -> float:
     return float(base + saturation)
 
 
-def _population_risks(thetas: np.ndarray, spec: GmmSpec, alphas, pop_n: int, seed, chunk: int = 50_000):
+def _population_risks(thetas: np.ndarray, spec: GmmSpec, alphas, pop_n: int, seed):
     """Chunked Monte-Carlo population risks and their standard errors.
 
-    Rows index ``alphas`` and columns index ``thetas``.  Each chunk of the
-    pool is drawn once, and its margins and their softplus are computed
-    once for every alpha.
+    Rows index ``alphas`` and columns index ``thetas``.  Each chunk of
+    ``POP_CHUNK`` pool samples is drawn once, and its margins and their
+    softplus are computed once for every alpha.
     """
     total = np.zeros((len(alphas), thetas.shape[0]))
     total_sq = np.zeros_like(total)
     seen = 0
     block = 0
     while seen < pop_n:
-        k = min(chunk, pop_n - seen)
+        k = min(POP_CHUNK, pop_n - seen)
         pool = sample_gmm(spec, k, seed=(*seed, block), normalize=True)
         Z = pool.X @ thetas.T
         np.multiply(Z, pool.y[:, None], out=Z)

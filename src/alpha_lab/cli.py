@@ -293,6 +293,10 @@ def cmd_slqc_audit(args) -> int:
     if not (alpha0 >= 1.0 and np.isfinite(alpha0)):
         raise ConfigError("alpha0 must be finite and >= 1 for certificate evolution")
     targets = parse_alpha_list(args.targets)
+    if args.samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {args.samples}")
+    if not 0.0 < args.eps0 < math.inf:
+        raise ConfigError(f"eps0 must be finite and positive, got {args.eps0}")
     data = sample_gmm(spec, args.n, seed=(args.seed, 11), normalize=True)
     config = TrainConfig(alpha=alpha0, radius=args.radius, seed=args.seed)
     theta0, report0 = train_gd(data, config)
@@ -302,8 +306,8 @@ def cmd_slqc_audit(args) -> int:
 
     grad0 = np.linalg.norm(logistic.risk_gradient_batch(thetas, data, alpha0), axis=1)
     g_floor = _gradient_floor(thetas, data, alpha0)
-    L = [logistic.alpha_lipschitz_risk(th) for th in thetas]
-    J = [logistic.alpha_lipschitz_gradient(th) for th in thetas]
+    L = logistic.alpha_lipschitz_risk(thetas)
+    J = logistic.alpha_lipschitz_gradient(thetas)
     rows = []
     violations = 0
     descent_checks = []

@@ -107,15 +107,10 @@ def tilt_posterior(pmf, alpha) -> np.ndarray:
 
 
 def binary_entropy(eta: float) -> float:
-    """Shannon entropy of a Bernoulli(eta), in nats."""
-    e = float(eta)
-    if not 0.0 <= e <= 1.0:
+    """Shannon entropy of a Bernoulli(eta), in nats: the alpha = 1 minimum conditional risk."""
+    if not 0.0 <= float(eta) <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    out = 0.0
-    for q in (e, 1.0 - e):
-        if q > 0.0:
-            out -= q * np.log(q)
-    return float(out)
+    return float(min_conditional_risk(eta, 1.0))
 
 
 def min_conditional_risk(eta, alpha):

@@ -15,7 +15,9 @@ with z the margin; ``losses`` holds the one kernel for each
 alpha <= 1, F2 is bounded below on the ball by the strong-convexity
 modulus; a small-radius variant covers a range of alpha > 1.  The module
 also exposes the Lipschitz constants in theta and in 1/alpha that the
-certificate and generalization machinery consume.
+certificate and generalization machinery consume.  Pointwise risks and
+gradients are one-row cases of ``risks`` and ``risk_gradients``, and the
+constants in 1/alpha, L_d and J_d, give one value per parameter row.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .losses import (
     _grad_weights,
     _log_sigmoid_pair,
     canon_alpha,
-    margin_alpha_loss,
     margin_alpha_losses,
     margin_lipschitz_constant,
     margin_loss_second_derivative,
@@ -105,10 +106,6 @@ def soft_classifier(theta, x):
     return out
 
 
-def margins(theta, X, y):
-    return y * (X @ _as_theta(theta))
-
-
 def _margin_matrix(thetas: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Margins y_i <theta_j, x_i> as an (n, m) matrix, signed in place."""
     Z = X @ thetas.T
@@ -117,19 +114,13 @@ def _margin_matrix(thetas: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarr
 
 
 def empirical_alpha_risk(theta, data, alpha) -> float:
-    """Mean loss over the sample, via the margin form."""
-    X, y = _as_xy(data)
-    z = margins(theta, X, y)
-    return float(np.mean(margin_alpha_loss(alpha, z)))
+    """Mean loss over the sample: one row of ``risks``."""
+    return float(risks(_as_theta(theta), data, [alpha])[0, 0])
 
 
 def risk_gradient(theta, data, alpha) -> np.ndarray:
-    """Gradient of the empirical risk: mean of F1 * x."""
-    a = canon_alpha(alpha)
-    X, y = _as_xy(data)
-    z = margins(theta, X, y)
-    f1 = -y * _grad_weights(a, *_log_sigmoid_pair(z))
-    return (X.T @ f1) / X.shape[0]
+    """Gradient of the empirical risk (mean of F1 * x): one row of ``risk_gradients``."""
+    return risk_gradients(_as_theta(theta), data, [alpha])[0, 0]
 
 
 def risk_gradients(thetas, data, alphas) -> np.ndarray:
@@ -150,7 +141,7 @@ def risk_gradients(thetas, data, alphas) -> np.ndarray:
     for k, a in enumerate(alphas):
         _grad_weights(a, lp, lm, out=F1)
         F1 *= neg_y
-        out[k] = (X.T @ F1).T / X.shape[0]
+        np.divide((X.T @ F1).T, X.shape[0], out=out[k])
     return out
 
 
@@ -169,7 +160,7 @@ def risks(thetas, data, alphas) -> np.ndarray:
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     out = np.empty((len(alphas), thetas.shape[0]))
     for k, vals in enumerate(margin_alpha_losses(alphas, _margin_matrix(thetas, X, y))):
-        out[k] = vals.mean(axis=0)
+        np.mean(vals, axis=0, out=out[k])
     return out
 
 
@@ -180,9 +171,9 @@ def risk_batch(thetas, data, alpha) -> np.ndarray:
 
 def risk_hessian(theta, data, alpha) -> np.ndarray:
     """Hessian of the empirical risk: mean of F2 * x x^T (symmetrized)."""
-    a = canon_alpha(alpha)
     X, y = _as_xy(data)
-    f2 = margin_loss_second_derivative(a, margins(theta, X, y))
+    z = _margin_matrix(np.atleast_2d(_as_theta(theta)), X, y)[:, 0]
+    f2 = margin_loss_second_derivative(alpha, z)
     H = (X * f2[:, None]).T @ X / X.shape[0]
     return 0.5 * (H + H.T)
 
@@ -246,15 +237,23 @@ def theta_lipschitz_constant(alpha, r: float, d: int) -> float:
     return float(np.sqrt(d)) * margin_lipschitz_constant(alpha, r * np.sqrt(d))
 
 
-def alpha_lipschitz_risk(theta) -> float:
-    """L_d(theta): Lipschitz constant of the risk in 1/alpha on [1, inf]."""
+def _alpha_lipschitz_args(theta):
+    """(sqrt(d), sqrt(d) * ||theta||) per row, each norm that of ``np.linalg.norm``."""
     th = _as_theta(theta)
-    s = np.linalg.norm(th) * np.sqrt(th.size)
-    return float(softplus(s) ** 2 / 2.0)
+    sqrt_d = np.sqrt(th.shape[-1])
+    return sqrt_d, np.sqrt((th[..., None, :] @ th[..., :, None])[..., 0, 0]) * sqrt_d
 
 
-def alpha_lipschitz_gradient(theta) -> float:
-    """J_d(theta): Lipschitz constant of the risk gradient in 1/alpha."""
-    th = _as_theta(theta)
-    s = np.linalg.norm(th) * np.sqrt(th.size)
-    return float(np.sqrt(th.size) * softplus(s) * expit(s))
+def alpha_lipschitz_risk(theta):
+    """L_d(theta): Lipschitz constant of the risk in 1/alpha on [1, inf], per row."""
+    # float_power calls libm pow as a float64 scalar's ** does; an array's
+    # ** 2 squares exactly and differs in the last bit at ~1 in 1,000 rows
+    out = np.float_power(softplus(_alpha_lipschitz_args(theta)[1]), 2) / 2.0
+    return float(out) if out.ndim == 0 else out
+
+
+def alpha_lipschitz_gradient(theta):
+    """J_d(theta): Lipschitz constant of the risk gradient in 1/alpha, per row."""
+    sqrt_d, s = _alpha_lipschitz_args(theta)
+    out = sqrt_d * softplus(s) * expit(s)
+    return float(out) if out.ndim == 0 else out

@@ -2,7 +2,8 @@
 
 Deliberately simple: central finite differences, direct enumeration,
 Monte-Carlo suprema and frozen copies of the original gradient-descent
-loop, gradient, margin-loss (and its two derivatives), ball-sampler,
+loop, gradient, margin-loss (and its two derivatives), pointwise risk,
+gradient and Hessian, 1/alpha-Lipschitz constants, ball-sampler,
 population-risk and Gaussian-error forms, sharing no code path with the
 library formulas they check.
 """
@@ -182,6 +183,48 @@ def seed_margin_loss_second_derivative(alpha, z):
         scale = np.exp((1.0 - b) * -np.logaddexp(0.0, -z) + -np.logaddexp(0.0, z))
         out = scale * (expit(z) - (1.0 - b) * expit(-z))
     return float(out) if out.ndim == 0 else out
+
+
+def seed_empirical_alpha_risk(theta, X, y, alpha):
+    """Frozen copy of the original pointwise empirical risk.
+
+    Margins from one matrix-vector product; ``alpha`` must be canonical.
+    """
+    return float(np.mean(seed_margin_alpha_loss(alpha, y * (X @ theta))))
+
+
+def seed_risk_gradient(theta, X, y, alpha):
+    """Frozen copy of the original pointwise risk gradient (mean of F1 * x).
+
+    ``alpha`` must be canonical.
+    """
+    b = 0.0 if np.isinf(alpha) else 1.0 / alpha
+    z = y * (X @ theta)
+    with np.errstate(over="ignore"):
+        w = np.exp((1.0 - b) * -np.logaddexp(0.0, -z) + -np.logaddexp(0.0, z))
+    return (X.T @ (-y * w)) / X.shape[0]
+
+
+def seed_risk_hessian(theta, X, y, alpha):
+    """Frozen copy of the original pointwise Hessian (mean of F2 * x x^T, symmetrized).
+
+    ``alpha`` must be canonical.
+    """
+    f2 = seed_margin_loss_second_derivative(alpha, y * (X @ theta))
+    H = (X * f2[:, None]).T @ X / X.shape[0]
+    return 0.5 * (H + H.T)
+
+
+def seed_alpha_lipschitz_risk(theta):
+    """Frozen copy of the original L_d(theta) of one parameter vector."""
+    s = np.linalg.norm(theta) * np.sqrt(theta.size)
+    return float(np.logaddexp(0.0, s) ** 2 / 2.0)
+
+
+def seed_alpha_lipschitz_gradient(theta):
+    """Frozen copy of the original J_d(theta) of one parameter vector."""
+    s = np.linalg.norm(theta) * np.sqrt(theta.size)
+    return float(np.sqrt(theta.size) * np.logaddexp(0.0, s) * expit(s))
 
 
 def seed_ball_points(dim, radius, count, seed):

@@ -270,6 +270,43 @@ def test_bounds_rejects_empty_audit_sizes(tmp_path, capsys, flag, value, name, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--samples", "0", "samples must be >= 1, got 0"),
+    ("--samples", "-4", "samples must be >= 1, got -4"),
+    ("--eps0", "nan", "eps0 must be finite and positive, got nan"),
+    ("--eps0", "inf", "eps0 must be finite and positive, got inf"),
+    ("--eps0", "0", "eps0 must be finite and positive, got 0.0"),
+])
+def test_slqc_audit_rejects_bad_samples_and_eps0(tmp_path, capsys, monkeypatch, flag, value, message):
+    # rejected before any data is drawn or any model trained
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "sample_gmm", must_not_run)
+    monkeypatch.setattr(cli, "train_gd", must_not_run)
+    out = tmp_path / "bad.csv"
+    rc = main([
+        "slqc-audit", "--gmm", write_gmm(tmp_path), "--targets", "1.001", "--radius", "0.2",
+        flag, value, "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("compare", [False, True])
+def test_landscape_rejects_bad_radius(tmp_path, capsys, radius, compare):
+    out = tmp_path / "bad.csv"
+    rc = main([
+        "landscape", "--gmm", write_gmm(tmp_path), "--alpha", "10", "--radius", radius,
+        "--grid", "3", "--n", "50", "--out", str(out),
+    ] + ["--compare-infinity"] * compare)
+    assert rc == 2
+    assert "configuration error: radius must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trend_strict_violation_exit_code(tmp_path):
     # reversed sample-size grid makes the measured gap increase
     gmm = write_gmm(tmp_path)

@@ -331,12 +331,19 @@ def test_saturation_report_bounds_hold():
         saturation_report(data, radius=1.0, grid_size=5, alpha=0.5)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf])
+def test_lattice_audits_reject_bad_radius(radius):
+    data = sample_gmm(SKEWED, 50, seed=24, normalize=True)
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        landscape_grid(data, 1.0, radius, 3)
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        saturation_report(data, radius, 3)
+
+
 def test_experiment_single_run_equals_single_predictor():
     corruption = CorruptionSpec(class_counts=(50, 50))
     config = TrainConfig(seed=7)
-    summary = run_synthetic_experiment(
-        SYMMETRIC, corruption, [1.0], runs=1, config=config, train_pool=400
-    )
+    summary = run_synthetic_experiment(SYMMETRIC, corruption, [1.0], runs=1, config=config)
     assert summary.runs == 1
     assert np.allclose(summary.averaged_theta[0], summary.run_thetas[0, 0])
     assert 0.0 <= summary.angle_to_bayes[0] <= np.pi
@@ -346,8 +353,8 @@ def test_experiment_single_run_equals_single_predictor():
 def test_experiment_determinism():
     corruption = CorruptionSpec(class_counts=(30, 70))
     config = TrainConfig(seed=123)
-    s1 = run_synthetic_experiment(SYMMETRIC, corruption, [0.65, 1.0], 2, config, train_pool=300)
-    s2 = run_synthetic_experiment(SYMMETRIC, corruption, [0.65, 1.0], 2, config, train_pool=300)
+    s1 = run_synthetic_experiment(SYMMETRIC, corruption, [0.65, 1.0], 2, config)
+    s2 = run_synthetic_experiment(SYMMETRIC, corruption, [0.65, 1.0], 2, config)
     assert np.array_equal(s1.averaged_theta, s2.averaged_theta)
     assert np.array_equal(s1.accuracy_overall, s2.accuracy_overall)
     assert np.array_equal(s1.run_thetas, s2.run_thetas)

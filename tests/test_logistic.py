@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alpha_lab.datasets import GmmSpec, sample_gmm
 from alpha_lab.logistic import (
@@ -21,9 +23,18 @@ from alpha_lab.logistic import (
     strong_convexity_modulus,
     theta_lipschitz_constant,
 )
-from alpha_lab.losses import margin_alpha_loss, margin_loss_second_derivative, sigmoid
+from alpha_lab.losses import canon_alpha, margin_alpha_loss, margin_loss_second_derivative, sigmoid
 
-from oracles import central_diff_grad, central_diff_hessian, seed_risk_gradient_batch
+from oracles import (
+    central_diff_grad,
+    central_diff_hessian,
+    seed_alpha_lipschitz_gradient,
+    seed_alpha_lipschitz_risk,
+    seed_empirical_alpha_risk,
+    seed_risk_gradient,
+    seed_risk_gradient_batch,
+    seed_risk_hessian,
+)
 
 ALPHAS = [0.5, 0.8, 1.0, 1.44, 2.0, 8.0, np.inf]
 
@@ -254,15 +265,52 @@ def test_infinity_risk_is_randomized_error():
     assert r_inf == pytest.approx(np.mean(sigmoid(-y * (X @ theta))), rel=1e-12)
 
 
-def test_batches_match_pointwise():
-    rng = np.random.default_rng(900)
-    theta, X, y = random_instance(rng, 25, 2)
-    thetas = np.stack([theta, 2 * theta, np.zeros_like(theta)])
-    risks = risk_batch(thetas, (X, y), 2.0)
-    grads = risk_gradient_batch(thetas, (X, y), 2.0)
-    for i, t in enumerate(thetas):
-        assert risks[i] == pytest.approx(empirical_alpha_risk(t, (X, y), 2.0), rel=1e-12)
-        assert np.allclose(grads[i], risk_gradient(t, (X, y), 2.0), atol=1e-15)
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    d=st.integers(1, 5),
+    scale=st.floats(0.0, 40.0),
+    alpha=st.sampled_from([0.5, 0.65, 1.0, 1.0 + 5e-10, 4.0, 1e6, np.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pointwise_risk_bit_identical_to_frozen_margin_form(n, d, scale, alpha, seed):
+    # value, gradient and Hessian at one theta are one-row cases of the
+    # batched kernels; they must keep every bit of the frozen margin forms
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    theta = scale * rng.uniform(-1.0, 1.0, size=d)
+    a = canon_alpha(alpha)
+    value = empirical_alpha_risk(theta, (X, y), alpha)
+    assert type(value) is float and same_bits(value, seed_empirical_alpha_risk(theta, X, y, a))
+    assert same_bits(risk_gradient(theta, (X, y), alpha), seed_risk_gradient(theta, X, y, a))
+    assert same_bits(risk_hessian(theta, (X, y), alpha), seed_risk_hessian(theta, X, y, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_alpha_lipschitz_rows_bit_identical_to_per_theta_form(d, m, seed):
+    # one constant per row, each with the bits of the per-theta scalar form
+    rng = np.random.default_rng(seed)
+    thetas = rng.standard_normal((m, d))
+    thetas *= (10.0 ** rng.uniform(-3.0, 3.0, m) / np.linalg.norm(thetas, axis=1))[:, None]
+    L = alpha_lipschitz_risk(thetas)
+    J = alpha_lipschitz_gradient(thetas)
+    assert L.shape == J.shape == (m,)
+    for i, th in enumerate(thetas):
+        assert same_bits(L[i], seed_alpha_lipschitz_risk(th))
+        assert same_bits(J[i], seed_alpha_lipschitz_gradient(th))
+    assert alpha_lipschitz_risk(thetas[0]) == seed_alpha_lipschitz_risk(thetas[0])
+    assert type(alpha_lipschitz_gradient(thetas[0])) is float
 
 
 def test_risk_gradient_batch_bit_identical_to_seed_form():
