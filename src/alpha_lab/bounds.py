@@ -25,7 +25,7 @@ from .datasets import GmmSpec, bayes_risk, gaussian_linear_error, sample_gmm
 from .losses import canon_alpha, loss_sup_bound, margin_alpha_losses, margin_lipschitz_constant
 from .training import TrainConfig, _batched_gd
 from .slqc import sample_audit_points
-from .util import softplus
+from .util import sigmoid, softplus
 
 _STREAM_POP = 701
 _STREAM_THETA = 702
@@ -72,7 +72,7 @@ def uniform_discrepancy_bound(q: BoundQuery) -> float:
     if not a >= 1.0:
         raise ValueError("uniform discrepancy bound requires alpha >= 1")
     rd = q.r * np.sqrt(q.d)
-    sig = 1.0 / (1.0 + np.exp(-rd))
+    sig = float(sigmoid(rd))
     base = sig * (2.0 * rd / np.sqrt(q.n) + 4.0 * np.sqrt(2.0 * np.log(4.0 / q.delta) / q.n))
     saturation = 0.0 if np.isinf(a) else float(softplus(rd) ** 2 / (2.0 * a))
     return float(base + saturation)

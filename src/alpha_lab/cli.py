@@ -11,7 +11,8 @@ trend       excess 0-1 risk of trained predictors across sample sizes
 
 Every output CSV starts with '#'-prefixed manifest comments (subcommand,
 config, seed, version, timestamp).  Bodies are deterministic under a
-fixed seed; timestamps live only in the comments.  Exit codes: 0 success,
+fixed seed for one version, numpy build and CPU dispatch level;
+timestamps live only in the comments.  Exit codes: 0 success,
 2 configuration error, 3 numeric failure (including np.linalg.LinAlgError),
 4 audit violation under --strict.
 """
@@ -297,6 +298,8 @@ def cmd_slqc_audit(args) -> int:
         raise ConfigError(f"samples must be >= 1, got {args.samples}")
     if not 0.0 < args.eps0 < math.inf:
         raise ConfigError(f"eps0 must be finite and positive, got {args.eps0}")
+    if not 0.0 < args.radius < math.inf:
+        raise ConfigError(f"radius must be finite and positive, got {args.radius}")
     data = sample_gmm(spec, args.n, seed=(args.seed, 11), normalize=True)
     config = TrainConfig(alpha=alpha0, radius=args.radius, seed=args.seed)
     theta0, report0 = train_gd(data, config)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .datasets import LabeledDataset
 from .losses import (
@@ -36,7 +35,7 @@ from .losses import (
     margin_lipschitz_constant,
     margin_loss_second_derivative,
 )
-from .util import log_sigmoid, softplus
+from .util import log_sigmoid, sigmoid, softplus
 
 BALL_SLACK = 1e-9
 
@@ -52,8 +51,8 @@ class ParamVector:
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         if self.theta.ndim != 1:
             raise ValueError("theta must be a 1-D vector")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not self.radius > 0.0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
         if np.linalg.norm(self.theta) > self.radius + BALL_SLACK:
             raise ValueError(
                 f"theta norm {np.linalg.norm(self.theta):.6g} exceeds ball radius {self.radius}"
@@ -100,7 +99,7 @@ def soft_classifier(theta, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != th.size:
         raise ValueError(f"dimension mismatch: theta has d={th.size}, x has {x.shape[-1]}")
-    out = expit(x @ th)
+    out = sigmoid(x @ th)
     if out.ndim == 0:
         return float(out)
     return out
@@ -200,9 +199,9 @@ def strong_convexity_modulus(alpha, r_sqrt_d: float) -> float:
     s = float(r_sqrt_d)
     if s <= 0.0:
         raise ValueError("r_sqrt_d must be positive")
-    sp = expit(s) * expit(-s)
+    sp = sigmoid(s) * sigmoid(-s)
     lead = np.exp((1.0 - 1.0 / a) * log_sigmoid(s))
-    return float(lead * (sp - (1.0 - 1.0 / a) * expit(-s) ** 2))
+    return float(lead * (sp - (1.0 - 1.0 / a) * sigmoid(-s) ** 2))
 
 
 SMALL_RADIUS_LIMIT = float(np.arcsinh(0.5))
@@ -227,7 +226,7 @@ def small_radius_modulus(alpha, r_sqrt_d: float) -> float:
         raise ValueError(
             f"outside the small-radius regime: alpha={a} exceeds admissible bound {limit:.6f}"
         )
-    return float(expit(-s) ** (3.0 - 1.0 / a) * (1.0 - np.exp(s) + np.exp(-s) / a))
+    return float(sigmoid(-s) ** (3.0 - 1.0 / a) * (1.0 - np.exp(s) + np.exp(-s) / a))
 
 
 def theta_lipschitz_constant(alpha, r: float, d: int) -> float:
@@ -246,14 +245,12 @@ def _alpha_lipschitz_args(theta):
 
 def alpha_lipschitz_risk(theta):
     """L_d(theta): Lipschitz constant of the risk in 1/alpha on [1, inf], per row."""
-    # float_power calls libm pow as a float64 scalar's ** does; an array's
-    # ** 2 squares exactly and differs in the last bit at ~1 in 1,000 rows
-    out = np.float_power(softplus(_alpha_lipschitz_args(theta)[1]), 2) / 2.0
+    out = np.square(softplus(_alpha_lipschitz_args(theta)[1])) / 2.0
     return float(out) if out.ndim == 0 else out
 
 
 def alpha_lipschitz_gradient(theta):
     """J_d(theta): Lipschitz constant of the risk gradient in 1/alpha, per row."""
     sqrt_d, s = _alpha_lipschitz_args(theta)
-    out = sqrt_d * softplus(s) * expit(s)
+    out = sqrt_d * softplus(s) * sigmoid(s)
     return float(out) if out.ndim == 0 else out

@@ -15,9 +15,11 @@ log domain so large negative margins do not overflow.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import expit
+import math
 
+import numpy as np
+
+from . import util
 from .util import log_sigmoid, softplus
 
 # Values of alpha this close to 1 are routed to the log-loss branch to
@@ -36,16 +38,16 @@ def canon_alpha(alpha) -> float:
     returned as exactly 1.0.
     """
     a = float(alpha)
-    if np.isnan(a) or a <= 0.0:
+    if math.isnan(a) or a <= 0.0:
         raise ValueError(f"alpha must be a positive real or inf, got {alpha!r}")
-    if np.isfinite(a) and abs(a - 1.0) <= ALPHA_ONE_BAND:
+    if math.isfinite(a) and abs(a - 1.0) <= ALPHA_ONE_BAND:
         return 1.0
     return a
 
 
 def _beta(alpha: float) -> float:
     """1/alpha with the convention 1/inf = 0."""
-    return 0.0 if np.isinf(alpha) else 1.0 / alpha
+    return 0.0 if math.isinf(alpha) else 1.0 / alpha
 
 
 def as_pmf(masses) -> np.ndarray:
@@ -91,12 +93,14 @@ def _loss_from_softplus(alpha: float, sp, out):
     """Margin loss at a finite canonical ``alpha`` from ``sp = softplus(-z)``.
 
     ``sp`` itself at alpha = 1; otherwise
-    ``alpha/(alpha-1) * -expm1((1/alpha - 1) * sp)``, written into ``out``.
+    ``alpha/(alpha-1) * -expm1((1-alpha)/alpha * sp)``, written into ``out``.
+    The exponent's numerator 1 - alpha is exact near alpha = 1 (Sterbenz),
+    where ``1/alpha - 1`` would cancel.
     """
     if alpha == 1.0:
         return sp
     with np.errstate(over="ignore"):
-        t = np.multiply(1.0 / alpha - 1.0, sp, out=out)
+        t = np.multiply((1.0 - alpha) / alpha, sp, out=out)
         np.expm1(t, out=t)
         np.negative(t, out=t)
         return np.multiply(alpha / (alpha - 1.0), t, out=t)
@@ -106,7 +110,7 @@ def margin_alpha_losses(alphas, z, out=None):
     """Margin losses of ``z`` at each of several tuning values, in order.
 
     ``softplus(-z)`` is computed once, and only when some alpha is
-    finite; alpha = inf is ``expit(-z)``.  Every yielded array is either
+    finite; alpha = inf is ``sigmoid(-z)``.  Every yielded array is either
     that softplus (alpha = 1, which the caller must not modify) or
     ``out`` (allocated when None), so each is valid only until the next
     one is requested, and ``out`` is free scratch once a value is read.
@@ -116,11 +120,11 @@ def margin_alpha_losses(alphas, z, out=None):
     if out is None:
         out = np.empty_like(z)
     sp = None
-    if not all(np.isinf(alphas)):
+    if not all(math.isinf(a) for a in alphas):
         sp = softplus(np.negative(z, out=out))
     for a in alphas:
-        if np.isinf(a):
-            yield expit(np.negative(z, out=out), out=out)
+        if math.isinf(a):
+            yield util.sigmoid(np.negative(z, out=out), out=out)
         else:
             yield _loss_from_softplus(a, sp, out)
 
@@ -139,7 +143,8 @@ def margin_alpha_loss(alpha, z):
 
 def _log_sigmoid_pair(z):
     """(log g(z), log g(-z)): the alpha-free part of the F1 and F2 weights."""
-    return log_sigmoid(z), log_sigmoid(-z)
+    lm = np.empty_like(z)
+    return log_sigmoid(z), log_sigmoid(np.negative(z, out=lm), out=lm)
 
 
 def _grad_weights(alpha: float, lp, lm, out=None) -> np.ndarray:
@@ -175,8 +180,13 @@ def margin_loss_second_derivative(alpha, z):
     a = canon_alpha(alpha)
     z = np.asarray(z, dtype=float)
     out = _grad_weights(a, *_log_sigmoid_pair(z))
+    g = util.sigmoid(z)
+    gm = np.empty_like(z)
+    util.sigmoid(np.negative(z, out=gm), out=gm)
+    gm *= 1.0 - _beta(a)
+    g -= gm
     with np.errstate(over="ignore"):
-        out *= expit(z) - (1.0 - _beta(a)) * expit(-z)
+        out *= g
     if out.ndim == 0:
         return float(out)
     return out
@@ -184,7 +194,7 @@ def margin_loss_second_derivative(alpha, z):
 
 def sigmoid(z):
     """Logistic sigmoid 1 / (1 + e^-z)."""
-    out = expit(np.asarray(z, dtype=float))
+    out = util.sigmoid(z)
     if out.ndim == 0:
         return float(out)
     return out
@@ -212,7 +222,7 @@ def correspondence_gap(alpha, y: int, f_value: float) -> float:
     if y not in (-1, 1):
         raise ValueError("label must be -1 or +1")
     f = float(f_value)
-    p_plus = float(expit(f))
+    p_plus = float(util.sigmoid(f))
     pmf = np.array([1.0 - p_plus, p_plus])
     idx = 1 if y == 1 else 0
     return abs(alpha_loss(alpha, idx, pmf) - margin_alpha_loss(alpha, y * f))

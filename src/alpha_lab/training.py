@@ -15,11 +15,11 @@ parameter lattice for landscape and saturation audits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from . import logistic
 from .datasets import (
@@ -32,6 +32,7 @@ from .datasets import (
     sample_gmm,
 )
 from .losses import canon_alpha
+from .util import _EXP_MAX, _log1p_exp
 
 # Reserved seed-stream tags so data, corruption and test draws never collide.
 _STREAM_DATA = 101
@@ -58,8 +59,8 @@ class TrainConfig:
             raise ValueError("learning rate and optimality parameter must be positive")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not self.radius > 0.0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -92,31 +93,47 @@ class NumericTrainingError(RuntimeError):
 def _gd_step_weights(beta: float):
     """Unsigned F1 weight w(z) = sigmoid(z)^(1-beta) * sigmoid(-z), chosen once per beta.
 
-    The returned function maps signed margins Z = y * x.theta to w, so the
-    risk gradient is -(w @ A) / n on the signed design A = y * X.  For
-    beta <= 1 the direct power of the sigmoid is stable (exponent is
-    nonnegative) and the exponents 0 and 1 skip the power; for beta > 1
-    the weight blows up at very negative margins, so it is evaluated in
-    the log domain via softplus(z) = z + softplus(-z).
-    """
-    if beta > 1.0:
-        def weights(Z):
-            S = np.logaddexp(0.0, -Z)
-            with np.errstate(over="ignore"):
-                return np.exp(-Z - (2.0 - beta) * S)
-        return weights
-    power = 1.0 - beta
+    Returns ``(sign, weights)``.  ``weights(S, T)`` overwrites the margins
+    S = sign * z, with z = y * x.theta, by w, and uses ``T`` (same shape)
+    as scratch; the caller ignores overflow.  The risk gradient is then
+    -sign * (w @ (sign * y * X)) / n.  Each beta gets the form with the
+    fewest array passes:
 
-    def weights(Z):
-        P = expit(Z)
-        Q = 1.0 - P
-        if power == 0.0:
-            return Q
-        if power != 1.0:
-            np.power(P, power, out=P)
-        Q *= P
-        return Q
-    return weights
+    - beta = 1: w = sigmoid(-z) = 1 / (1 + e^z), with sign +1.
+    - beta < 1: w = E * (1 + E)^(beta - 2) with E = e^min(-z, 709), sign -1.
+      The clip keeps E finite.  Precision is lost only at margins below
+      about -708 / (2 - beta), where (1 + E)^(beta - 2) leaves the normal
+      range, as sigmoid(z) does in the sigmoid form below -708.
+    - beta > 1: w = exp(-z - (2 - beta) * softplus(-z)), sign -1; the log
+      domain keeps the weight finite until e^((beta - 1) * |z|) overflows.
+
+    This stays apart from ``losses._grad_weights``: GD needs one alpha per
+    step and takes the sigmoid forms above, while ``risk_gradients`` shares
+    one log-sigmoid pair of the margins across many alphas.
+    """
+    # 0-d operands: numpy converts a Python float operand on every call
+    one, clip, power = np.array(1.0), np.array(_EXP_MAX), np.array(beta - 2.0)
+    if beta == 1.0:
+        def weights(Z, T):
+            np.exp(Z, out=Z)
+            Z += one
+            np.reciprocal(Z, out=Z)
+        return 1.0, weights
+    if beta < 1.0:
+        def weights(M, T):
+            np.minimum(M, clip, out=M)
+            np.exp(M, out=M)
+            np.add(M, one, out=T)
+            np.power(T, power, out=T)
+            M *= T
+        return -1.0, weights
+
+    def weights(M, T):
+        _log1p_exp(M, T)  # softplus(-z)
+        T *= power
+        M += T
+        np.exp(M, out=M)
+    return -1.0, weights
 
 
 def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
@@ -128,13 +145,16 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     its stop statistic is at most the optimality parameter: the gradient
     norm, or, for a step that the projection onto the radius ball moved,
     the gradient-mapping norm ||theta - P(theta - lr * grad)|| / lr, which
-    vanishes at a constrained (KKT) minimizer on the sphere.
+    vanishes at a constrained (KKT) minimizer on the sphere.  The margins,
+    weights and gradients of every step are written into buffers allocated
+    once per call.
     """
     R, n, d = X.shape
     a = canon_alpha(config.alpha)
-    weights = _gd_step_weights(0.0 if np.isinf(a) else 1.0 / a)
+    sign, weights = _gd_step_weights(0.0 if math.isinf(a) else 1.0 / a)
     lr = config.learning_rate
-    tol = config.optimality_parameter
+    # 0-d operands: numpy converts a Python float operand on every call
+    lr_op, tol_op, grad_scale = (np.array(v) for v in (lr, config.optimality_parameter, -sign * n))
     radius = config.radius
     bounded = bool(np.isfinite(radius))
     theta_out = np.zeros((R, d))
@@ -143,43 +163,49 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     done = np.zeros(R, dtype=bool)
 
     idx = np.arange(R)  # rows of the working batch -> original run ids
-    A = y[:, :, None] * X  # signed design; exact since y is +-1
+    A = (sign * y)[:, :, None] * X  # signed design; exact since y is +-1
+    margins = np.empty((R, n, 1))
+    scratch = np.empty((R, n))
+    grad_buf = np.empty((R, 1, d))
     theta = np.zeros((R, d))
     it = 0
-    while True:
-        Z = np.matmul(A, theta[:, :, None])[:, :, 0]
-        grads = np.matmul(weights(Z)[:, None, :], A)[:, 0, :]
-        grads /= -n
-        gn = np.sqrt((grads * grads).sum(axis=1))
-        if not gn.max() < np.inf:
-            bad = int(np.flatnonzero(~np.isfinite(gn))[0])
-            raise NumericTrainingError(it, theta[bad])
-        grads *= lr
-        nxt = theta - grads
-        stat = gn
-        if bounded:
-            norms = np.sqrt((nxt * nxt).sum(axis=1))
-            over = norms > radius
-            if over.any():
-                nxt[over] *= (radius / norms[over])[:, None]
-                moved = theta[over] - nxt[over]
-                stat = gn.copy()
-                stat[over] = np.sqrt((moved * moved).sum(axis=1)) / lr
-        newly = stat <= tol
-        capped = it >= config.max_iterations
-        if capped or newly.any():
-            stop = newly | capped
-            rows = idx[stop]
-            theta_out[rows] = theta[stop]
-            iterations[rows] = it
-            grad_norms[rows] = stat[stop]
-            done[rows] = newly[stop]
-            keep = ~stop
-            if not keep.any():
-                break
-            idx, A, nxt = idx[keep], A[keep], nxt[keep]
-        theta = nxt
-        it += 1
+    with np.errstate(over="ignore"):
+        while True:
+            k = len(idx)
+            S = np.matmul(A, theta[:, :, None], out=margins[:k])[:, :, 0]
+            weights(S, scratch[:k])
+            grads = np.matmul(S[:, None, :], A, out=grad_buf[:k])[:, 0, :]
+            grads /= grad_scale
+            gn = np.sqrt((grads * grads).sum(axis=1))
+            if not gn.max() < np.inf:
+                bad = int(np.flatnonzero(~np.isfinite(gn))[0])
+                raise NumericTrainingError(it, theta[bad])
+            grads *= lr_op
+            nxt = theta - grads
+            stat = gn
+            if bounded:
+                norms = np.sqrt((nxt * nxt).sum(axis=1))
+                over = norms > radius
+                if over.any():
+                    nxt[over] *= (radius / norms[over])[:, None]
+                    moved = theta[over] - nxt[over]
+                    stat = gn.copy()
+                    stat[over] = np.sqrt((moved * moved).sum(axis=1)) / lr
+            newly = stat <= tol_op
+            capped = it >= config.max_iterations
+            if capped or newly.any():
+                stop = newly | capped
+                rows = idx[stop]
+                theta_out[rows] = theta[stop]
+                iterations[rows] = it
+                grad_norms[rows] = stat[stop]
+                done[rows] = newly[stop]
+                keep = ~stop
+                if not keep.any():
+                    break
+                idx, A, nxt = idx[keep], A[keep], nxt[keep]
+            theta = nxt
+            it += 1
     reports = [
         ConvergenceReport(
             converged=bool(done[r]),

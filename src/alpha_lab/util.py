@@ -1,4 +1,4 @@
-"""Shared plumbing: seeding, stable log-sigmoid helpers."""
+"""Shared plumbing: seeding and the softplus, log-sigmoid and sigmoid kernels."""
 
 from __future__ import annotations
 
@@ -46,11 +46,66 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def softplus(x):
-    """log(1 + e^x), computed without overflow for any real x."""
-    return np.logaddexp(0.0, x)
+# log(DBL_MAX) is 709.78: exp overflows above it, while log1p(exp(x)) is x
+# to the last bit from about 37 on, so larger arguments are clipped here
+# and the clipped part is added back.
+_EXP_MAX = 709.0
 
 
-def log_sigmoid(x):
-    """log of the logistic sigmoid, i.e. -softplus(-x)."""
-    return -np.logaddexp(0.0, -x)
+def _log1p_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) written into ``out``, which may be ``x``.
+
+    log1p(exp(x)) does not cancel for any x (Maechler 2012, "Accurately
+    computing log(1 - exp(-|a|))"), so numpy's vectorized exp and log1p
+    give it to about 1 ulp in two passes and no scratch array.  A
+    max-reduction that skips NaN routes arrays holding an argument above
+    _EXP_MAX, where exp overflows, through a clipped pass.
+    """
+    if x.size and np.fmax.reduce(x, axis=None) > _EXP_MAX:
+        excess = np.maximum(x - _EXP_MAX, 0.0)
+        out = np.minimum(x, _EXP_MAX, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += excess
+        return out
+    np.exp(x, out=out)
+    return np.log1p(out, out=out)
+
+
+def _out_for(x, out):
+    x = np.asarray(x, dtype=float)
+    return x, np.empty_like(x) if out is None else out
+
+
+def softplus(x, out=None):
+    """log(1 + e^x) for any real x, written into ``out`` when given.
+
+    ``out`` may be ``x`` itself; a scalar gives a 0-d array.
+    """
+    x, out = _out_for(x, out)
+    return _log1p_exp(x, out)
+
+
+def log_sigmoid(x, out=None):
+    """log of the logistic sigmoid, -log(1 + e^-x), written into ``out`` when given.
+
+    ``out`` may be ``x`` itself; a scalar gives a 0-d array.
+    """
+    x, out = _out_for(x, out)
+    np.negative(x, out=out)
+    _log1p_exp(out, out)
+    return np.negative(out, out=out)
+
+
+def sigmoid(x, out=None):
+    """Logistic sigmoid 1 / (1 + e^-x), written into ``out`` when given.
+
+    ``out`` may be ``x`` itself; a scalar gives a 0-d array.  Below
+    x = -709.78, where the true value is under 2^-1022, it returns 0.
+    """
+    x, out = _out_for(x, out)
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)

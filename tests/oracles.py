@@ -5,12 +5,21 @@ Monte-Carlo suprema and frozen copies of the original gradient-descent
 loop, gradient, margin-loss (and its two derivatives), pointwise risk,
 gradient and Hessian, 1/alpha-Lipschitz constants, ball-sampler,
 population-risk and Gaussian-error forms, sharing no code path with the
-library formulas they check.
+library formulas they check.  The mpmath references evaluate the same
+quantities at 60 significant digits and round once to float64.
 """
 
+import mpmath
 import numpy as np
 from scipy.special import expit
 from scipy.stats import norm
+
+MP_DPS = 60
+# float64's smallest normal number: below it an absolute error up to this
+# much is one flush of a subnormal result
+TINY = 2.0**-1022
+# how far the 0.2.0 log-domain kernels may move a frozen 0.1.0 value
+FROZEN_RTOL = 1e-13
 
 
 def central_diff_grad(f, theta, h=1e-5):
@@ -185,6 +194,30 @@ def seed_margin_loss_second_derivative(alpha, z):
     return float(out) if out.ndim == 0 else out
 
 
+def seed_second_derivative_scale(alpha, z):
+    """|F1| * (g(z) + |1 - 1/alpha| * g(-z)): the size of the two terms of F2,
+    which cancel near its sign change at z = log(1 - 1/alpha)."""
+    b = 0.0 if np.isinf(alpha) else 1.0 / alpha
+    z = np.asarray(z, dtype=float)
+    f1 = np.abs(seed_margin_loss_derivative(alpha, z))
+    with np.errstate(over="ignore"):
+        return f1 * (expit(z) + abs(1.0 - b) * expit(-z))
+
+
+def seed_risk_gradient_scale(thetas, X, y, alpha):
+    """Mean of |F1| * |x| per parameter row and coordinate: the size of the
+    terms that the risk gradient sums, which may cancel."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    W = np.abs(seed_margin_loss_derivative(alpha, (X @ thetas.T) * y[:, None]))
+    return (np.abs(X).T @ W).T / X.shape[0]
+
+
+def seed_risk_hessian_scale(theta, X, y, alpha):
+    """Mean of the F2 term size times |x| |x|^T: the size of the Hessian's terms."""
+    f = seed_second_derivative_scale(alpha, y * (X @ theta))
+    return (np.abs(X) * f[:, None]).T @ np.abs(X) / X.shape[0]
+
+
 def seed_empirical_alpha_risk(theta, X, y, alpha):
     """Frozen copy of the original pointwise empirical risk.
 
@@ -280,3 +313,94 @@ def seed_gaussian_linear_error(spec, w, offset=0.0):
         else:
             err += prior * norm.cdf((offset - m) / s)
     return float(err)
+
+
+def _mp_float(fn):
+    """``fn`` evaluated on mpf arguments at MP_DPS digits, rounded to a float."""
+    def wrapped(*args):
+        with mpmath.workdps(MP_DPS):
+            return float(fn(*(mpmath.mpf(v) for v in args)))
+    return wrapped
+
+
+@_mp_float
+def mp_softplus(z):
+    return mpmath.log1p(mpmath.exp(z))
+
+
+@_mp_float
+def mp_log_sigmoid(z):
+    return -mpmath.log1p(mpmath.exp(-z))
+
+
+@_mp_float
+def mp_sigmoid(z):
+    return 1 / (1 + mpmath.exp(-z))
+
+
+def _mp_beta(alpha):
+    return mpmath.mpf(0) if mpmath.isinf(alpha) else 1 / alpha
+
+
+@_mp_float
+def mp_margin_alpha_loss(alpha, z):
+    """alpha/(alpha-1) * (1 - sigmoid(z)^(1 - 1/alpha)); its limits at alpha = 1 and inf."""
+    sp = mpmath.log1p(mpmath.exp(-z))  # -log sigmoid(z)
+    if mpmath.isinf(alpha):
+        return 1 / (1 + mpmath.exp(z))
+    if alpha == 1:
+        return sp
+    return alpha / (alpha - 1) * -mpmath.expm1(-(alpha - 1) / alpha * sp)
+
+
+def _mp_f1(alpha, z):
+    return mpmath.exp(-(1 - _mp_beta(alpha)) * mpmath.log1p(mpmath.exp(-z))
+                      - mpmath.log1p(mpmath.exp(z)))
+
+
+@_mp_float
+def mp_margin_loss_derivative(alpha, z):
+    """-sigmoid(z)^(1 - 1/alpha) * sigmoid(-z)."""
+    return -_mp_f1(alpha, z)
+
+
+@_mp_float
+def mp_margin_loss_second_derivative(alpha, z):
+    """|F1| * (sigmoid(z) - (1 - 1/alpha) * sigmoid(-z))."""
+    g, gm = 1 / (1 + mpmath.exp(-z)), 1 / (1 + mpmath.exp(z))
+    return _mp_f1(alpha, z) * (g - (1 - _mp_beta(alpha)) * gm)
+
+
+def within_ulps(got, truth, ulps=4):
+    """Elementwise: |got - truth| <= ulps units in the last place of truth.
+
+    Where |truth| is below the normal range, up to TINY absolute passes.
+    Equal values, infinities included, always pass.
+    """
+    got, truth = np.asarray(got, dtype=float), np.asarray(truth, dtype=float)
+    with np.errstate(invalid="ignore"):
+        err = np.abs(got - truth)
+        return (got == truth) | (err <= ulps * np.spacing(np.abs(truth))) | (
+            (np.abs(truth) < TINY) & (err <= TINY))
+
+
+def agrees_with_frozen(got, frozen, truth=None, scale=None):
+    """Elementwise, over the flattened values: ``got`` is within FROZEN_RTOL
+    of the frozen 0.1.0 value, relative to |frozen| or to ``scale``, the
+    magnitude of the terms of a form that cancels.
+
+    Where it is not, ``truth(i)`` (the mpmath value of flat element i, when
+    given) must be at least as close to ``got`` as to ``frozen``, or within
+    TINY of ``got`` where the true value is below the normal range.
+    """
+    got = np.asarray(got, dtype=float).ravel()
+    frozen = np.asarray(frozen, dtype=float).ravel()
+    scale = np.abs(frozen) if scale is None else np.asarray(scale, dtype=float).ravel()
+    with np.errstate(invalid="ignore"):
+        ok = (got == frozen) | (np.abs(got - frozen) <= FROZEN_RTOL * scale)
+    if truth is not None:
+        for i in np.flatnonzero(~ok):
+            t = truth(i)
+            err = abs(got[i] - t)
+            ok[i] = err <= abs(frozen[i] - t) or (abs(t) < TINY and err <= TINY)
+    return ok

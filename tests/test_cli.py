@@ -14,7 +14,7 @@ from alpha_lab.datasets import GmmSpec, sample_gmm
 from alpha_lab.slqc import SlqcCertificate, check_slqc_at, risk_oracle, sample_audit_points
 from alpha_lab.training import TrainConfig, saturation_report, train_gd
 
-from oracles import seed_gradient_floor
+from oracles import agrees_with_frozen, seed_gradient_floor
 
 
 def read_csv(path):
@@ -276,6 +276,9 @@ def test_bounds_rejects_empty_audit_sizes(tmp_path, capsys, flag, value, name, s
     ("--eps0", "nan", "eps0 must be finite and positive, got nan"),
     ("--eps0", "inf", "eps0 must be finite and positive, got inf"),
     ("--eps0", "0", "eps0 must be finite and positive, got 0.0"),
+    ("--radius", "nan", "radius must be finite and positive, got nan"),
+    ("--radius", "inf", "radius must be finite and positive, got inf"),
+    ("--radius", "-1", "radius must be finite and positive, got -1.0"),
 ])
 def test_slqc_audit_rejects_bad_samples_and_eps0(tmp_path, capsys, monkeypatch, flag, value, message):
     # rejected before any data is drawn or any model trained
@@ -404,7 +407,7 @@ def test_gradient_floor_bit_identical_to_seed_form():
             thetas = sample_audit_points(2, radius, 32, seed=(seed, 12))
             for alpha0 in (1.0, 1.5):
                 ref = seed_gradient_floor(thetas, data.X, data.y.astype(float), alpha0)
-                assert np.array_equal(cli._gradient_floor(thetas, data, alpha0), ref)
+                assert agrees_with_frozen(cli._gradient_floor(thetas, data, alpha0), ref).all()
 
 
 def test_linalg_error_is_numeric_failure(tmp_path, monkeypatch, capsys):

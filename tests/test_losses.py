@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alpha_lab import util
 from alpha_lab.losses import (
     alpha_loss,
     as_pmf,
@@ -19,11 +23,20 @@ from alpha_lab.losses import (
 )
 
 from oracles import (
+    agrees_with_frozen,
     mc_slope_sup,
+    mp_log_sigmoid,
+    mp_margin_alpha_loss,
+    mp_margin_loss_derivative,
+    mp_margin_loss_second_derivative,
+    mp_sigmoid,
+    mp_softplus,
     scalar_central_diff,
     seed_margin_alpha_loss,
     seed_margin_loss_derivative,
     seed_margin_loss_second_derivative,
+    seed_second_derivative_scale,
+    within_ulps,
 )
 
 
@@ -107,14 +120,16 @@ SPLIT_ALPHAS = [0.3, 0.5, 1.0, 1.44, 8.0, np.inf]
     alphas=st.lists(st.sampled_from(SPLIT_ALPHAS), min_size=1, max_size=4),
 )
 def test_split_loss_bit_identical_to_seed_form(z, alphas):
-    # the shared softplus(-z) and the per-alpha map change no bit, one
-    # alpha at a time or several from one softplus, arrays or scalars
+    # one alpha at a time or several from one shared softplus(-z), arrays
+    # or scalars, give the same bits; each value is within FROZEN_RTOL of
+    # the frozen form, or closer to mpmath than it
     z = np.array(z)
     for a, vals in zip(alphas, margin_alpha_losses(alphas, z)):
+        vals = vals.copy()
         ref = seed_margin_alpha_loss(a, z)
-        assert np.array_equal(vals, ref)
-        assert np.array_equal(margin_alpha_loss(a, z), ref)
-        assert margin_alpha_loss(a, z[0]) == float(ref[0])
+        assert agrees_with_frozen(vals, ref, lambda i: mp_margin_alpha_loss(a, z[i])).all()
+        assert np.array_equal(margin_alpha_loss(a, z), vals)
+        assert margin_alpha_loss(a, z[0]) == vals[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,17 +138,65 @@ def test_split_loss_bit_identical_to_seed_form(z, alphas):
     alpha=st.sampled_from([0.5, 1.0, 1.0 + 5e-10, 1.0 - 5e-10, 4.0, 1e6, np.inf]),
 )
 def test_derivatives_on_the_shared_weight_kernel_bit_identical_to_seed_form(z, alpha):
-    # the F1 kernel shared with the risk gradient changes no bit of either
-    # derivative, for arrays and for scalars (which come back as floats)
+    # both derivatives on the F1 kernel shared with the risk gradient are
+    # within FROZEN_RTOL of the frozen forms, or closer to mpmath, and a
+    # scalar (which comes back as a float) has the bits of its array entry
     z = np.array(z)
     a = canon_alpha(alpha)
-    for fn, seed_fn in (
-        (margin_loss_derivative, seed_margin_loss_derivative),
-        (margin_loss_second_derivative, seed_margin_loss_second_derivative),
+    for fn, seed_fn, mp_fn, scale in (
+        (margin_loss_derivative, seed_margin_loss_derivative, mp_margin_loss_derivative, None),
+        (margin_loss_second_derivative, seed_margin_loss_second_derivative,
+         mp_margin_loss_second_derivative, seed_second_derivative_scale(a, z)),
     ):
-        assert np.array_equal(fn(alpha, z), seed_fn(a, z))
+        got = fn(alpha, z)
+        ref = seed_fn(a, z)
+        assert agrees_with_frozen(got, ref, lambda i: mp_fn(a, z[i]), scale).all()
         scalar = fn(alpha, float(z[0]))
-        assert type(scalar) is float and scalar == seed_fn(a, float(z[0]))
+        assert type(scalar) is float and scalar == got[0]
+
+
+KERNEL_EDGES = [-800.0, -745.5, -709.9, -709.78, -708.0, -37.0, -1e-300, 0.0, 1e-300,
+                36.9, 708.0, 709.78, 709.9, 745.5, 800.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=40), in_place=st.booleans())
+@example(z=KERNEL_EDGES, in_place=False)
+@example(z=KERNEL_EDGES, in_place=True)
+def test_kernels_within_4_ulp_of_mpmath(z, in_place):
+    # softplus, log-sigmoid and sigmoid from exp/log1p, for arrays, for
+    # scalars and with out=x; the sigmoid flushes to 0 below -709.78
+    z = np.array(z)
+    for kernel, truth in ((util.softplus, mp_softplus), (util.log_sigmoid, mp_log_sigmoid),
+                          (util.sigmoid, mp_sigmoid)):
+        x = z.copy()
+        got = kernel(x, out=x) if in_place else kernel(x)
+        assert (got is x) == in_place
+        assert in_place or np.array_equal(x, z)
+        ref = np.array([truth(v) for v in z])
+        assert np.all(within_ulps(got, ref)), (kernel.__name__, z[~within_ulps(got, ref)])
+        assert float(kernel(z[0])) == got[0]
+
+
+def test_kernels_at_infinities_and_nan():
+    # a NaN passes through without hiding a large argument beside it
+    z = np.array([-np.inf, np.inf, np.nan, 800.0, -800.0])
+    assert np.array_equal(util.softplus(z), [0.0, np.inf, np.nan, 800.0, 0.0], equal_nan=True)
+    assert np.array_equal(util.log_sigmoid(z), [-np.inf, 0.0, np.nan, 0.0, -800.0],
+                          equal_nan=True)
+    assert np.array_equal(util.sigmoid(z), [0.0, 1.0, np.nan, 1.0, 0.0], equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    z=st.floats(-3.0, 30.0),
+    alpha=st.sampled_from([1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-7, 1.0 - 1e-7, 0.5, 1.44, 8.0, 1e6]),
+)
+def test_margin_loss_near_alpha_one_matches_mpmath(z, alpha):
+    # the exponent (1 - alpha)/alpha is exact near alpha = 1, where
+    # 1/alpha - 1 cancelled to a relative error of up to 5e-8
+    truth = mp_margin_alpha_loss(alpha, z)
+    assert abs(margin_alpha_loss(alpha, z) - truth) <= 1e-15 * abs(truth)
 
 
 def test_split_loss_shares_one_buffer():
@@ -246,3 +309,23 @@ def test_loss_sup_bound():
     z = np.linspace(-3, 3, 10_001)
     for a in (0.5, 1.0, 2.0, 8.0):
         assert np.max(margin_alpha_loss(a, z)) <= loss_sup_bound(a, 3.0) + 1e-12
+
+
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "alpha_lab"
+
+
+def test_one_implementation_of_each_kernel():
+    # softplus, log-sigmoid and sigmoid exist once, in util: no module
+    # names scipy's expit or numpy's logaddexp, imported or as an attribute
+    modules = sorted(LIBRARY.glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        assert not names & {"expit", "logaddexp"}, path.name
