@@ -83,13 +83,11 @@ class CorruptionSpec:
     """Training-data corruption: per-class subsampling then label flips.
 
     ``flip_probability`` and ``class_counts`` are ordered (Y=-1, Y=+1);
-    ``class_counts=None`` keeps every sample.  ``feature_normalization``
-    asks the experiment pipeline to map features to the unit box.
+    ``class_counts=None`` keeps every sample.
     """
 
     flip_probability: Tuple[float, float] = (0.0, 0.0)
     class_counts: Optional[Tuple[int, int]] = None
-    feature_normalization: bool = False
 
     def __post_init__(self):
         for p in self.flip_probability:
@@ -179,7 +177,7 @@ def sample_gmm(spec: GmmSpec, n: int, seed, normalize: bool = False) -> LabeledD
     return LabeledDataset(X, y, np.zeros(n, bool), y.copy(), normalized=normalize)
 
 
-def sample_balanced_gmm(spec: GmmSpec, n_per_class: int, seed, normalize=False) -> LabeledDataset:
+def sample_balanced_gmm(spec: GmmSpec, n_per_class: int, seed) -> LabeledDataset:
     """Exactly n_per_class samples of each label (clean test sets)."""
     rng = seeded_rng(seed)
     X = np.empty((2 * n_per_class, spec.dim))
@@ -190,9 +188,7 @@ def sample_balanced_gmm(spec: GmmSpec, n_per_class: int, seed, normalize=False) 
     ):
         z = rng.standard_normal((n_per_class, spec.dim))
         X[y == label] = mean + z @ _psd_factor(cov).T
-    if normalize:
-        X = normalize_features(X)
-    return LabeledDataset(X, y, np.zeros(2 * n_per_class, bool), y.copy(), normalized=normalize)
+    return LabeledDataset(X, y, np.zeros(2 * n_per_class, bool), y.copy())
 
 
 def corrupt(data: LabeledDataset, spec: CorruptionSpec, seed) -> LabeledDataset:

@@ -7,6 +7,10 @@ posterior proportional to p(y|x)^alpha.  In the binary-margin setting
 the same identity appears as the minimum conditional risk, whose
 minimizing classification function is alpha * log(eta / (1 - eta)).
 
+One row kernel, ``_row_risks``, computes the minimal risk of a
+posterior row and is the only alpha-norm here: the minimal risk weights
+it by p(x), the Arimoto entropy follows from that risk through the
+identity, and the minimum conditional risk is its value at (eta, 1-eta).
 All entropies are in nats.  ``brute_force_minimal_risk`` is a pure
 enumeration oracle kept deliberately independent of the closed forms.
 """
@@ -14,9 +18,9 @@ enumeration oracle kept deliberately independent of the closed forms.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import entr, logsumexp
 
-from .losses import as_pmf, canon_alpha
+from .losses import as_pmf, canon_alpha, inverse_sigmoid
 
 # Relative tolerance for detecting ties in the argmax set at alpha = inf.
 _TIE_RTOL = 1e-12
@@ -27,23 +31,32 @@ def as_joint_pmf(table) -> np.ndarray:
     t = np.asarray(table, dtype=float)
     if t.ndim != 2 or t.size == 0:
         raise ValueError("joint pmf must be a nonempty 2-D table")
-    if np.any(t < 0.0) or not np.all(np.isfinite(t)):
-        raise ValueError("joint pmf entries must be finite and nonnegative")
-    total = t.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"joint pmf sums to {total}, outside the 1e-9 drift tolerance")
-    t = t / total
-    if not np.any(t.sum(axis=1) > 0.0):
-        raise ValueError("joint pmf needs at least one x-row with positive mass")
-    return t
+    return as_pmf(t.ravel()).reshape(t.shape)
 
 
-def _row_power_sums(t: np.ndarray, alpha: float) -> np.ndarray:
-    """(sum_y P(x,y)^alpha)^(1/alpha) per x-row, stable for extreme alpha."""
+def _row_risks(q: np.ndarray, alpha: float) -> np.ndarray:
+    """Minimal risk of each row of the row-normalised pmf ``q``: the one alpha-norm.
+
+    Shannon entropy at alpha = 1; 1 - max q at alpha = inf, summed as the
+    masses other than the largest so that a small risk keeps its digits;
+    otherwise alpha/(1-alpha) * expm1(log ||q||_alpha).  For |alpha - 1| < 1/2 the
+    log-norm is log1p(sum q * expm1((alpha-1) * log q)) / alpha, whose
+    terms all share one sign, so nothing cancels near alpha = 1; beyond,
+    logsumexp keeps large alpha finite.
+    """
+    if alpha == 1.0:
+        return entr(q).sum(axis=-1)
+    if np.isinf(alpha):
+        return np.sort(q, axis=-1)[..., :-1].sum(axis=-1)
     with np.errstate(divide="ignore"):
-        logt = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0)), -np.inf)
-    out = np.exp(logsumexp(alpha * logt, axis=1) / alpha)
-    return np.where(t.sum(axis=1) > 0.0, out, 0.0)
+        logq = np.log(q)
+    if abs(alpha - 1.0) < 0.5:
+        with np.errstate(invalid="ignore"):
+            terms = np.where(q > 0.0, q * np.expm1((alpha - 1.0) * logq), 0.0)
+        lognorm = np.log1p(terms.sum(axis=-1)) / alpha
+    else:
+        lognorm = logsumexp(alpha * logq, axis=-1) / alpha
+    return alpha / (1.0 - alpha) * np.expm1(lognorm)
 
 
 def arimoto_conditional_entropy(joint, alpha) -> float:
@@ -51,35 +64,29 @@ def arimoto_conditional_entropy(joint, alpha) -> float:
 
     alpha = 1 is the Shannon conditional entropy and alpha = inf is
     -log sum_x max_y P(x, y).  Zero-mass x-rows contribute nothing.
+    Computed from the minimal risk R through the identity
+    H = alpha/(1-alpha) * log1p((1-alpha)/alpha * R), or -log1p(-R) at inf.
     """
     a = canon_alpha(alpha)
-    t = as_joint_pmf(joint)
+    r = minimal_alpha_risk(joint, a)
     if a == 1.0:
-        px = t.sum(axis=1)
-        mask = t > 0.0
-        cond = np.divide(t, px[:, None], out=np.zeros_like(t), where=px[:, None] > 0)
-        h = -np.sum(t[mask] * np.log(cond[mask]))
-        return float(h)
+        return r
     if np.isinf(a):
-        return float(-np.log(t.max(axis=1).sum()))
-    s = _row_power_sums(t, a).sum()
-    return float(a / (1.0 - a) * np.log(s))
+        return float(-np.log1p(-r))
+    return float(a / (1.0 - a) * np.log1p((1.0 - a) / a * r))
 
 
 def minimal_alpha_risk(joint, alpha) -> float:
     """Minimum expected loss over all per-x posteriors (closed form).
 
-    Equals (alpha/(alpha-1)) * (1 - exp(((1-alpha)/alpha) * H_alpha)),
-    computed directly from the inner sums for numerical robustness.
+    Equals (alpha/(alpha-1)) * (1 - exp(((1-alpha)/alpha) * H_alpha)):
+    the p(x)-weighted minimal risks of the posterior rows p(y|x).
     """
     a = canon_alpha(alpha)
     t = as_joint_pmf(joint)
-    if a == 1.0:
-        return arimoto_conditional_entropy(t, 1.0)
-    if np.isinf(a):
-        return float(1.0 - t.max(axis=1).sum())
-    s = _row_power_sums(t, a).sum()
-    return float(a / (a - 1.0) * (1.0 - s))
+    px = t.sum(axis=1)
+    keep = px > 0.0
+    return float(px[keep] @ _row_risks(t[keep] / px[keep, None], a))
 
 
 def tilt_posterior(pmf, alpha) -> np.ndarray:
@@ -116,28 +123,15 @@ def binary_entropy(eta: float) -> float:
 def min_conditional_risk(eta, alpha):
     """Minimum conditional risk of the margin loss at posterior eta.
 
-    Piecewise: the alpha-power mean form for finite alpha != 1, the
-    binary Shannon entropy at alpha = 1, and min(eta, 1-eta) at
-    alpha = inf.  Symmetric about eta = 1/2 and concave in eta.
-    Vectorized over eta.
+    The minimal risk of the pmf (eta, 1-eta): the binary Shannon entropy
+    at alpha = 1 and min(eta, 1-eta) at alpha = inf.  Symmetric about
+    eta = 1/2 and concave in eta.  Vectorized over eta.
     """
     a = canon_alpha(alpha)
     e = np.asarray(eta, dtype=float)
     if np.any(e < 0.0) or np.any(e > 1.0):
         raise ValueError("eta must lie in [0, 1]")
-    pair = np.stack([e, 1.0 - e], axis=-1)
-    if a == 1.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(pair > 0.0, -pair * np.log(np.where(pair > 0, pair, 1.0)), 0.0)
-        out = terms.sum(axis=-1)
-    elif np.isinf(a):
-        out = pair.min(axis=-1)
-    else:
-        m = pair.max(axis=-1)
-        t = pair.min(axis=-1) / np.where(m > 0, m, 1.0)
-        # (eta^a + (1-eta)^a)^(1/a) = m * (1 + t^a)^(1/a), stable for large alpha
-        power_mean = m * np.exp(np.log1p(t**a) / a)
-        out = a / (a - 1.0) * (1.0 - power_mean)
+    out = _row_risks(np.stack([e, 1.0 - e], axis=-1), a)
     if out.ndim == 0:
         return float(out)
     return out
@@ -156,13 +150,7 @@ def optimal_classifier(eta: float, alpha) -> float:
         raise ValueError("eta must lie in [0, 1]")
     if e == 0.5:
         return 0.0
-    if np.isinf(a):
-        return float(np.sign(2.0 * e - 1.0) * np.inf)
-    if e == 0.0:
-        return -np.inf
-    if e == 1.0:
-        return np.inf
-    return float(a * (np.log(e) - np.log1p(-e)))
+    return a * inverse_sigmoid(e)
 
 
 def _candidate_losses(q: np.ndarray, alpha: float) -> np.ndarray:

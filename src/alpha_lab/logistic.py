@@ -35,7 +35,7 @@ from .losses import (
     margin_lipschitz_constant,
     margin_loss_second_derivative,
 )
-from .util import log_sigmoid, sigmoid, softplus
+from .util import sigmoid, softplus
 
 BALL_SLACK = 1e-9
 
@@ -190,8 +190,9 @@ def empirical_second_moment(data) -> np.ndarray:
 def strong_convexity_modulus(alpha, r_sqrt_d: float) -> float:
     """Lower bound on F2 over the ball, valid for alpha <= 1.
 
-    sigma(a)^(1-1/alpha) * (sigma'(a) - (1 - 1/alpha) * sigma(-a)^2)
-    with a = r*sqrt(d); positive, and decreasing in alpha.
+    F2 at the largest margin a = r*sqrt(d), that is
+    sigma(a)^(1-1/alpha) * (sigma'(a) - (1 - 1/alpha) * sigma(-a)^2);
+    positive, and decreasing in alpha.
     """
     a = canon_alpha(alpha)
     if not a <= 1.0:
@@ -199,9 +200,7 @@ def strong_convexity_modulus(alpha, r_sqrt_d: float) -> float:
     s = float(r_sqrt_d)
     if s <= 0.0:
         raise ValueError("r_sqrt_d must be positive")
-    sp = sigmoid(s) * sigmoid(-s)
-    lead = np.exp((1.0 - 1.0 / a) * log_sigmoid(s))
-    return float(lead * (sp - (1.0 - 1.0 / a) * sigmoid(-s) ** 2))
+    return margin_loss_second_derivative(a, s)
 
 
 SMALL_RADIUS_LIMIT = float(np.arcsinh(0.5))

@@ -82,11 +82,11 @@ def alpha_loss(alpha, label_index: int, pmf) -> float:
     py = p[idx]
     if a <= 1.0 and py <= 0.0:
         raise ValueError("infinite loss: zero mass on the true label with alpha <= 1")
-    if a == 1.0:
-        return float(-np.log(py))
     if np.isinf(a):
         return float(1.0 - py)
-    return float(a / (a - 1.0) * (1.0 - py ** (1.0 - 1.0 / a)))
+    with np.errstate(divide="ignore"):
+        sp = np.array(-np.log(py))
+    return float(_loss_from_softplus(a, sp, sp))
 
 
 def _loss_from_softplus(alpha: float, sp, out):
@@ -242,7 +242,7 @@ def margin_lipschitz_constant(alpha, r0: float) -> float:
     r0 = float(r0)
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
-    boundary = float(np.exp(log_sigmoid(r0) + (1.0 - _beta(a)) * log_sigmoid(-r0)))
+    boundary = -margin_loss_derivative(a, -r0)
     if a <= 1.0:
         return boundary
     zstar = np.log1p(-1.0 / a) if np.isfinite(a) else 0.0

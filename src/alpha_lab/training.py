@@ -292,11 +292,10 @@ def run_synthetic_experiment(
         raise ValueError("need at least one run")
     alphas = [canon_alpha(a) for a in alphas]
     master = config.seed
-    normalize = corruption.feature_normalization
 
     datasets = []
     for r in range(runs):
-        pool = sample_gmm(spec, TRAIN_POOL, seed=(master, _STREAM_DATA, r), normalize=normalize)
+        pool = sample_gmm(spec, TRAIN_POOL, seed=(master, _STREAM_DATA, r))
         datasets.append(corrupt(pool, corruption, seed=(master, _STREAM_CORRUPT, r)))
     sizes = {d.n for d in datasets}
     if len(sizes) != 1:
@@ -304,9 +303,7 @@ def run_synthetic_experiment(
     X = np.stack([d.X for d in datasets])
     y = np.stack([d.y for d in datasets]).astype(float)
 
-    test = sample_balanced_gmm(
-        spec, TEST_PER_CLASS, seed=(master, _STREAM_TEST), normalize=normalize
-    )
+    test = sample_balanced_gmm(spec, TEST_PER_CLASS, seed=(master, _STREAM_TEST))
     bayes_w, _ = bayes_direction(spec)
 
     A = len(alphas)

@@ -404,3 +404,67 @@ def agrees_with_frozen(got, frozen, truth=None, scale=None):
             err = abs(got[i] - t)
             ok[i] = err <= abs(frozen[i] - t) or (abs(t) < TINY and err <= TINY)
     return ok
+
+
+def _mp_row_risk(q, alpha):
+    """Minimal risk of one pmf row (mpf entries summing to 1)."""
+    q = [v for v in q if v > 0]
+    if mpmath.isinf(alpha):
+        return 1 - max(q)
+    if alpha == 1:
+        return -mpmath.fsum(v * mpmath.log(v) for v in q)
+    norm = mpmath.fsum(v**alpha for v in q) ** (1 / alpha)
+    return alpha / (alpha - 1) * (1 - norm)
+
+
+def _mp_joint_rows(joint):
+    """(row mass, p(.|x)) per x-row of positive mass, and the total mass, all
+    exact in mpmath.  Dividing by the total renormalises the joint:
+    alpha/(1-alpha) would turn a 1e-16 drift of the float sum into a 1e-7
+    error of the reference."""
+    t = [[mpmath.mpf(float(v)) for v in row] for row in np.asarray(joint, dtype=float)]
+    rows = [(mpmath.fsum(row), row) for row in t]
+    rows = [(mass, [v / mass for v in row]) for mass, row in rows if mass > 0]
+    return rows, mpmath.fsum(mass for mass, _ in rows)
+
+
+def mp_minimal_alpha_risk(joint, alpha):
+    """sum_x p(x) * alpha/(alpha-1) * (1 - ||p(.|x)||_alpha), with the
+    Shannon conditional entropy at alpha = 1 and 1 - sum_x max_y P at inf."""
+    with mpmath.workdps(MP_DPS):
+        a = mpmath.mpf(alpha)
+        rows, total = _mp_joint_rows(joint)
+        return float(mpmath.fsum(mass * _mp_row_risk(q, a) for mass, q in rows) / total)
+
+
+def mp_arimoto_conditional_entropy(joint, alpha):
+    """alpha/(1-alpha) * log sum_x p(x) ||p(.|x)||_alpha; Shannon at 1, -log sum_x max_y P at inf."""
+    if float(alpha) == 1.0:
+        return mp_minimal_alpha_risk(joint, alpha)
+    with mpmath.workdps(MP_DPS):
+        a = mpmath.mpf(alpha)
+        rows, total = _mp_joint_rows(joint)
+        if mpmath.isinf(a):
+            return float(-mpmath.log(mpmath.fsum(mass * max(q) for mass, q in rows) / total))
+        s = mpmath.fsum(mass * mpmath.fsum(v**a for v in q) ** (1 / a) for mass, q in rows)
+        return float(a / (1 - a) * mpmath.log(s / total))
+
+
+def mp_min_conditional_risk(eta, alpha):
+    """Minimal risk of the pmf (eta, 1 - eta), with 1 - eta exact."""
+    with mpmath.workdps(MP_DPS):
+        e = mpmath.mpf(float(eta))
+        return float(_mp_row_risk([e, 1 - e], mpmath.mpf(alpha)))
+
+
+def mp_alpha_loss(alpha, label_index, pmf):
+    """alpha/(alpha-1) * (1 - p^(1 - 1/alpha)) at the renormalised mass p of the true label."""
+    with mpmath.workdps(MP_DPS):
+        masses = [mpmath.mpf(float(v)) for v in pmf]
+        p = masses[label_index] / mpmath.fsum(masses)
+        a = mpmath.mpf(alpha)
+        if mpmath.isinf(a):
+            return float(1 - p)
+        if a == 1:
+            return float(-mpmath.log(p))
+        return float(a / (a - 1) * -mpmath.expm1((1 - 1 / a) * mpmath.log(p)))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from alpha_lab.info import (
     arimoto_conditional_entropy,
@@ -11,9 +14,15 @@ from alpha_lab.info import (
     optimal_classifier,
     tilt_posterior,
 )
-from alpha_lab.losses import margin_alpha_loss
+from alpha_lab.losses import alpha_loss, margin_alpha_loss
 
-from oracles import shannon_conditional_entropy
+from oracles import (
+    mp_alpha_loss,
+    mp_arimoto_conditional_entropy,
+    mp_min_conditional_risk,
+    mp_minimal_alpha_risk,
+    shannon_conditional_entropy,
+)
 
 
 def random_joint(rng, nx, ny, floor=0.02):
@@ -195,3 +204,44 @@ def test_binary_entropy_edges():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(np.log(2), rel=1e-12)
+
+
+ACCURACY_ALPHAS = [1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-7, 1.0 - 1e-7, 1.0 + 1e-4, 0.3, 8.0, 1e6,
+                   np.inf]
+# Masses are 0 or at least 0.05, so each conditional mass is 0, 1 or at most
+# about 0.95.  Within delta of a certain label the risks are about delta, and
+# the last-bit rounding of p(y|x) = P(x,y)/p(x) (or of 1 - eta, or of the
+# pmf's own sum) alone moves them by about 1e-16/delta relative.
+MASS = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+
+def _rel_err(got, truth):
+    return abs(got - truth) / abs(truth) if truth else abs(got)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    alpha=st.sampled_from(ACCURACY_ALPHAS),
+    cells=arrays(float, st.tuples(st.integers(1, 3), st.integers(2, 3)), elements=MASS),
+    eta=st.floats(0.05, 0.95),
+    label=st.integers(0, 2),
+)
+@example(alpha=1.0 - 2e-9, cells=np.array([[0.3, 0.7]]), eta=0.5, label=1)
+@example(alpha=np.inf, cells=np.array([[1.0, 0.0], [0.05, 0.05]]), eta=0.05, label=1)
+def test_closed_forms_match_mpmath_near_alpha_one_and_infinity(alpha, cells, eta, label):
+    # one row kernel for the minimal risk: the summed terms share one sign
+    # near alpha = 1, where the parent's 1 - sum p^alpha cancelled to 1e-7
+    assume(cells.sum() > 0.0)
+    joint = cells / cells.sum()
+    for got, truth in (
+        (minimal_alpha_risk(joint, alpha), mp_minimal_alpha_risk(joint, alpha)),
+        (arimoto_conditional_entropy(joint, alpha), mp_arimoto_conditional_entropy(joint, alpha)),
+        (min_conditional_risk(eta, alpha), mp_min_conditional_risk(eta, alpha)),
+    ):
+        assert _rel_err(got, truth) <= 4e-15, (got, truth)
+    row = cells[0]
+    label %= row.size
+    if row.sum() > 0.0 and (alpha > 1.0 or row[label] > 0.0):
+        pmf = row / row.sum()
+        got, truth = alpha_loss(alpha, label, pmf), mp_alpha_loss(alpha, label, pmf)
+        assert _rel_err(got, truth) <= 4e-15, (got, truth)

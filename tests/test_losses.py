@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,13 @@ def test_margin_lipschitz_dominates_monte_carlo_slopes(alpha):
         assert sup <= margin_lipschitz_constant(alpha, r0) + 1e-12
 
 
+def test_margin_lipschitz_overflow_is_inf_without_warning():
+    # |F1(-700)| at alpha = 0.1 is about e^6300, beyond DBL_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert margin_lipschitz_constant(0.1, 700.0) == np.inf
+
+
 def test_loss_sup_bound():
     assert loss_sup_bound(np.inf, 1.0) == pytest.approx(sigmoid(1.0), rel=1e-12)
     assert loss_sup_bound(1.0, 1e-12) == pytest.approx(np.log(2), rel=1e-6)
@@ -314,18 +322,44 @@ def test_loss_sup_bound():
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "alpha_lab"
 
 
+def _names(node):
+    """Every name, attribute and imported name under ``node``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.rsplit(".", 1)[-1] for alias in sub.names)
+    return out
+
+
 def test_one_implementation_of_each_kernel():
     # softplus, log-sigmoid and sigmoid exist once, in util: no module
     # names scipy's expit or numpy's logaddexp, imported or as an attribute
     modules = sorted(LIBRARY.glob("*.py"))
     assert len(modules) >= 10
     for path in modules:
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-        assert not names & {"expit", "logaddexp"}, path.name
+        assert not _names(ast.parse(path.read_text())) & {"expit", "logaddexp"}, path.name
+
+
+def test_one_implementation_of_the_minimal_risk():
+    # the alpha-norm is computed once, in info._row_risks: logsumexp is
+    # named nowhere else but info's import, and the enumeration oracle
+    # stays independent of the closed forms and the loss kernels
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "info.py":
+            assert "logsumexp" not in _names(tree), path.name
+            continue
+        for node in tree.body:
+            assert ("logsumexp" not in _names(node) or isinstance(node, ast.ImportFrom)
+                    or node.name == "_row_risks"), ast.unparse(node)[:60]
+        funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        oracle = ("_candidate_losses", "_simplex_candidates", "brute_force_conditional_minimum",
+                  "brute_force_minimal_risk")
+        banned = {"_row_risks", "alpha_loss", "margin_alpha_loss", "margin_alpha_losses",
+                  "_loss_from_softplus"}
+        for name in oracle:
+            assert not _names(funcs[name]) & banned, name
