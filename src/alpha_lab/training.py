@@ -136,6 +136,21 @@ def _gd_step_weights(beta: float):
     return -1.0, weights
 
 
+def _sqrt_threshold(t: float) -> float:
+    """Largest double x with sqrt(x) <= t, so that x <= it exactly when sqrt(x) <= t.
+
+    The correctly rounded square root is monotone, so the doubles whose
+    root is at most t are those up to one threshold, which lies within a
+    few ulps of t * t.
+    """
+    x = t * t
+    while math.sqrt(x) > t:
+        x = math.nextafter(x, 0.0)
+    while x < math.inf and math.sqrt(math.nextafter(x, math.inf)) <= t:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
 def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     """Gradient descent on R stacked datasets of identical shape.
 
@@ -145,9 +160,14 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     its stop statistic is at most the optimality parameter: the gradient
     norm, or, for a step that the projection onto the radius ball moved,
     the gradient-mapping norm ||theta - P(theta - lr * grad)|| / lr, which
-    vanishes at a constrained (KKT) minimizer on the sphere.  The margins,
-    weights and gradients of every step are written into buffers allocated
-    once per call.
+    vanishes at a constrained (KKT) minimizer on the sphere.  Without a
+    radius the test compares the squared gradient norm with
+    ``_sqrt_threshold`` of the optimality parameter, which decides exactly
+    as the norm would; the norm itself is taken only on the steps where
+    rows stop, and is what their reports hold.  The margins, weights, gradients
+    and squared norms of every step are written into buffers allocated
+    once per call, through views built once per working-batch size, and
+    the iterate is updated in place.
     """
     R, n, d = X.shape
     a = canon_alpha(config.alpha)
@@ -155,6 +175,7 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     lr = config.learning_rate
     # 0-d operands: numpy converts a Python float operand on every call
     lr_op, tol_op, grad_scale = (np.array(v) for v in (lr, config.optimality_parameter, -sign * n))
+    thr = _sqrt_threshold(config.optimality_parameter)
     radius = config.radius
     bounded = bool(np.isfinite(radius))
     theta_out = np.zeros((R, d))
@@ -167,33 +188,52 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     margins = np.empty((R, n, 1))
     scratch = np.empty((R, n))
     grad_buf = np.empty((R, 1, d))
+    squares = np.empty((R, d))
+    sumsq = np.empty(R)
     theta = np.zeros((R, d))
+
+    def views(k):
+        M, G3 = margins[:k], grad_buf[:k]
+        S = M[:, :, 0]
+        return M, S, S[:, None, :], scratch[:k], G3, G3[:, 0, :], squares[:k], sumsq[:k]
+
+    k = R
+    M, S, S_row, T, G3, G, sq, ss = views(k)
+    theta_col = theta[:, :, None]
     it = 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            k = len(idx)
-            S = np.matmul(A, theta[:, :, None], out=margins[:k])[:, :, 0]
-            weights(S, scratch[:k])
-            grads = np.matmul(S[:, None, :], A, out=grad_buf[:k])[:, 0, :]
-            grads /= grad_scale
-            gn = np.sqrt((grads * grads).sum(axis=1))
-            if not gn.max() < np.inf:
-                bad = int(np.flatnonzero(~np.isfinite(gn))[0])
+            np.matmul(A, theta_col, out=M)
+            weights(S, T)
+            np.matmul(S_row, A, out=G3)
+            G /= grad_scale
+            np.multiply(G, G, out=sq)
+            np.add.reduce(sq, axis=1, out=ss)
+            if k == 1:
+                lo = hi = ss.item()
+            else:
+                lo, hi = ss.min(), ss.max()
+            if not hi < math.inf:  # also catches NaN
+                bad = int(np.flatnonzero(~np.isfinite(ss))[0])
                 raise NumericTrainingError(it, theta[bad])
-            grads *= lr_op
-            nxt = theta - grads
-            stat = gn
+            G *= lr_op  # G now holds the step
             if bounded:
+                nxt = theta - G
+                stat = np.sqrt(ss)
                 norms = np.sqrt((nxt * nxt).sum(axis=1))
                 over = norms > radius
                 if over.any():
                     nxt[over] *= (radius / norms[over])[:, None]
                     moved = theta[over] - nxt[over]
-                    stat = gn.copy()
                     stat[over] = np.sqrt((moved * moved).sum(axis=1)) / lr
-            newly = stat <= tol_op
+                newly = stat <= tol_op
+                stopping = newly.any()
+            else:
+                stopping = lo <= thr
             capped = it >= config.max_iterations
-            if capped or newly.any():
+            if capped or stopping:
+                if not bounded:
+                    newly, stat = ss <= thr, np.sqrt(ss)
                 stop = newly | capped
                 rows = idx[stop]
                 theta_out[rows] = theta[stop]
@@ -203,8 +243,18 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
                 keep = ~stop
                 if not keep.any():
                     break
-                idx, A, nxt = idx[keep], A[keep], nxt[keep]
-            theta = nxt
+                idx, A, theta = idx[keep], A[keep], theta[keep]
+                steps = G3[keep]  # the kept rows' steps move to the buffer prefix
+                k = len(idx)
+                M, S, S_row, T, G3, G, sq, ss = views(k)
+                G3[...] = steps
+                theta_col = theta[:, :, None]
+                if bounded:
+                    nxt = nxt[keep]
+            if bounded:
+                np.copyto(theta, nxt)
+            else:
+                np.subtract(theta, G, out=theta)
             it += 1
     reports = [
         ConvergenceReport(
@@ -407,18 +457,20 @@ def _landscape_saturation(data: LabeledDataset, alpha, radius: float, grid_size:
 
 
 def lattice_strict_local_minima(values: np.ndarray) -> List[Tuple[int, int]]:
-    """Interior lattice points strictly below all eight neighbors."""
+    """Interior lattice points strictly below all eight neighbors, row-major.
+
+    NaN compares false, so a NaN cell is never a minimum nor lets a neighbor be one.
+    """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or min(v.shape) < 3:
         return []
-    out = []
-    for i in range(1, v.shape[0] - 1):
-        for j in range(1, v.shape[1] - 1):
-            patch = v[i - 1 : i + 2, j - 1 : j + 2]
-            neighbors = np.delete(patch.ravel(), 4)
-            if np.all(v[i, j] < neighbors):
-                out.append((i, j))
-    return out
+    rows, cols = v.shape
+    center = v[1:-1, 1:-1]
+    strict = np.logical_and.reduce([
+        center < v[i : rows - 2 + i, j : cols - 2 + j]
+        for i in range(3) for j in range(3) if (i, j) != (1, 1)
+    ])
+    return [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(strict)]
 
 
 def single_basin(values: np.ndarray) -> bool:

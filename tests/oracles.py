@@ -1,11 +1,12 @@
 """Independent verification oracles used by the test suite.
 
 Deliberately simple: central finite differences, direct enumeration,
-Monte-Carlo suprema and frozen copies of the original gradient-descent
-loop, gradient, margin-loss (and its two derivatives), pointwise risk,
-gradient and Hessian, 1/alpha-Lipschitz constants, ball-sampler,
-population-risk and Gaussian-error forms, sharing no code path with the
-library formulas they check.  The mpmath references evaluate the same
+Monte-Carlo suprema and frozen copies of the original and the 0.2.0
+gradient-descent loops, the lattice minimum scan, the original gradient,
+margin-loss (and its two derivatives), pointwise risk, gradient and
+Hessian, 1/alpha-Lipschitz constants, ball-sampler, population-risk and
+Gaussian-error forms, sharing no code path with the library formulas
+they check.  The mpmath references evaluate the same
 quantities at 60 significant digits and round once to float64.
 """
 
@@ -125,6 +126,145 @@ def seed_batched_gd(X, y, alpha, learning_rate=0.01, optimality_parameter=1e-4,
         it += 1
     causes = np.where(done, "gradient_tolerance", "max_iterations")
     return theta_out, iterations, grad_norms, causes
+
+
+# Frozen copies of the 0.2.0 GD loop before its step went in place: the
+# same kernels and buffers, a fresh iterate per step and the stop test on
+# the gradient norm itself.
+_FROZEN_EXP_MAX = 709.0
+
+
+class FrozenNumericError(RuntimeError):
+    """Raised by ``frozen_batched_gd`` where the library raises NumericTrainingError."""
+
+    def __init__(self, iteration, theta):
+        self.iteration = iteration
+        self.theta = theta
+        super().__init__(f"non-finite gradient at iteration {iteration}")
+
+
+def _frozen_log1p_exp(x, out):
+    if x.size and np.fmax.reduce(x, axis=None) > _FROZEN_EXP_MAX:
+        excess = np.maximum(x - _FROZEN_EXP_MAX, 0.0)
+        out = np.minimum(x, _FROZEN_EXP_MAX, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += excess
+        return out
+    np.exp(x, out=out)
+    return np.log1p(out, out=out)
+
+
+def _frozen_gd_step_weights(beta):
+    """(sign, weights): weights(S, T) overwrites the margins S = sign * z by
+    the unsigned F1 weight, with T as scratch."""
+    one, clip, power = np.array(1.0), np.array(_FROZEN_EXP_MAX), np.array(beta - 2.0)
+    if beta == 1.0:
+        def weights(Z, T):
+            np.exp(Z, out=Z)
+            Z += one
+            np.reciprocal(Z, out=Z)
+        return 1.0, weights
+    if beta < 1.0:
+        def weights(M, T):
+            np.minimum(M, clip, out=M)
+            np.exp(M, out=M)
+            np.add(M, one, out=T)
+            np.power(T, power, out=T)
+            M *= T
+        return -1.0, weights
+
+    def weights(M, T):
+        _frozen_log1p_exp(M, T)
+        T *= power
+        M += T
+        np.exp(M, out=M)
+    return -1.0, weights
+
+
+def frozen_batched_gd(X, y, alpha, learning_rate=0.01, optimality_parameter=1e-4,
+                      max_iterations=200_000, radius=np.inf):
+    """Frozen copy of the 0.2.0 batched GD loop with the projected stop test.
+
+    ``alpha`` must already be canonical.  Returns (thetas, reports), one
+    (converged, iterations, grad_norm, cause) tuple per run, and raises
+    FrozenNumericError on a non-finite gradient.
+    """
+    R, n, d = X.shape
+    sign, weights = _frozen_gd_step_weights(0.0 if np.isinf(alpha) else 1.0 / alpha)
+    lr = learning_rate
+    lr_op, tol_op, grad_scale = (np.array(v) for v in (lr, optimality_parameter, -sign * n))
+    bounded = bool(np.isfinite(radius))
+    theta_out = np.zeros((R, d))
+    iterations = np.zeros(R, dtype=int)
+    grad_norms = np.full(R, np.inf)
+    done = np.zeros(R, dtype=bool)
+
+    idx = np.arange(R)
+    A = (sign * y)[:, :, None] * X
+    margins = np.empty((R, n, 1))
+    scratch = np.empty((R, n))
+    grad_buf = np.empty((R, 1, d))
+    theta = np.zeros((R, d))
+    it = 0
+    with np.errstate(over="ignore"):
+        while True:
+            k = len(idx)
+            S = np.matmul(A, theta[:, :, None], out=margins[:k])[:, :, 0]
+            weights(S, scratch[:k])
+            grads = np.matmul(S[:, None, :], A, out=grad_buf[:k])[:, 0, :]
+            grads /= grad_scale
+            gn = np.sqrt((grads * grads).sum(axis=1))
+            if not gn.max() < np.inf:
+                bad = int(np.flatnonzero(~np.isfinite(gn))[0])
+                raise FrozenNumericError(it, theta[bad])
+            grads *= lr_op
+            nxt = theta - grads
+            stat = gn
+            if bounded:
+                norms = np.sqrt((nxt * nxt).sum(axis=1))
+                over = norms > radius
+                if over.any():
+                    nxt[over] *= (radius / norms[over])[:, None]
+                    moved = theta[over] - nxt[over]
+                    stat = gn.copy()
+                    stat[over] = np.sqrt((moved * moved).sum(axis=1)) / lr
+            newly = stat <= tol_op
+            capped = it >= max_iterations
+            if capped or newly.any():
+                stop = newly | capped
+                rows = idx[stop]
+                theta_out[rows] = theta[stop]
+                iterations[rows] = it
+                grad_norms[rows] = stat[stop]
+                done[rows] = newly[stop]
+                keep = ~stop
+                if not keep.any():
+                    break
+                idx, A, nxt = idx[keep], A[keep], nxt[keep]
+            theta = nxt
+            it += 1
+    reports = [
+        (bool(done[r]), int(iterations[r]), float(grad_norms[r]),
+         "gradient_tolerance" if done[r] else "max_iterations")
+        for r in range(R)
+    ]
+    return theta_out, reports
+
+
+def frozen_lattice_strict_local_minima(values):
+    """Frozen copy of the per-point lattice minimum scan."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 2 or min(v.shape) < 3:
+        return []
+    out = []
+    for i in range(1, v.shape[0] - 1):
+        for j in range(1, v.shape[1] - 1):
+            patch = v[i - 1 : i + 2, j - 1 : j + 2]
+            neighbors = np.delete(patch.ravel(), 4)
+            if np.all(v[i, j] < neighbors):
+                out.append((i, j))
+    return out
 
 
 def seed_risk_gradient_batch(thetas, X, y, alpha):

@@ -1,4 +1,6 @@
-from dataclasses import replace
+import math
+import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -17,10 +19,16 @@ from alpha_lab.datasets import (
     sample_balanced_gmm,
     sample_gmm,
 )
+from alpha_lab.cli import SCENARIOS
 from alpha_lab.logistic import risk_gradient
 from alpha_lab.training import (
+    _STREAM_CORRUPT,
+    _STREAM_DATA,
+    TRAIN_POOL,
+    NumericTrainingError,
     TrainConfig,
     _batched_gd,
+    _sqrt_threshold,
     angle_between,
     landscape_grid,
     lattice_strict_local_minima,
@@ -31,7 +39,14 @@ from alpha_lab.training import (
     train_gd,
 )
 
-from oracles import agrees_with_frozen, seed_batched_gd, seed_gaussian_linear_error
+from oracles import (
+    FrozenNumericError,
+    agrees_with_frozen,
+    frozen_batched_gd,
+    frozen_lattice_strict_local_minima,
+    seed_batched_gd,
+    seed_gaussian_linear_error,
+)
 
 SYMMETRIC = GmmSpec.symmetric()
 
@@ -171,6 +186,109 @@ def test_batched_gd_bit_identical_to_seed_loop(shape):
         for r in range(R):
             alone, (rep,) = _batched_gd(X[r : r + 1], y[r : r + 1], cfg)
             assert np.array_equal(alone[0], theta[r]) and rep == reports[r]
+
+
+def _assert_matches_frozen(X, y, cfg):
+    """_batched_gd equals the frozen 0.2.0 loop bit for bit; returns the reports."""
+    ref_theta, ref_reports = frozen_batched_gd(
+        X, y, cfg.alpha, cfg.learning_rate, cfg.optimality_parameter,
+        cfg.max_iterations, cfg.radius,
+    )
+    theta, reports = _batched_gd(X, y, cfg)
+    assert np.array_equal(theta, ref_theta)
+    assert [astuple(r) for r in reports] == ref_reports
+    return reports
+
+
+@pytest.mark.parametrize("R", [1, 3, 5])
+@pytest.mark.parametrize("n", [100, 500, 5000])
+def test_batched_gd_bit_identical_to_frozen_loop(R, n):
+    rng = np.random.default_rng(10 * R + n)
+    # rows of different spread stop at different steps
+    spread = np.linspace(0.4, 1.6, R)[:, None, None]
+    X = spread * rng.normal(size=(R, n, 2)) + np.array([0.3, -0.1])
+    y = np.where(rng.random((R, n)) < 0.35, -1.0, 1.0)
+    causes = set()
+    for alpha in (0.5, 0.65, 1.0, 4.0, np.inf):
+        for radius in (np.inf, 0.2, 50.0):
+            cfg = TrainConfig(alpha=alpha, learning_rate=0.3, optimality_parameter=1e-3,
+                              max_iterations=300, radius=radius)
+            causes |= {r.cause for r in _assert_matches_frozen(X, y, cfg)}
+    assert causes == {"gradient_tolerance", "max_iterations"}
+
+
+def test_batched_gd_bit_identical_to_frozen_loop_on_synth_draw():
+    # the first three runs of `synth --scenario imbalance` at seed 0
+    runs = [
+        corrupt(sample_gmm(SYMMETRIC, TRAIN_POOL, seed=(0, _STREAM_DATA, r)),
+                SCENARIOS["imbalance"], seed=(0, _STREAM_CORRUPT, r))
+        for r in range(3)
+    ]
+    X = np.stack([d.X for d in runs])
+    y = np.stack([d.y for d in runs]).astype(float)
+    for alpha in (0.65, 1.0, 4.0):
+        cfg = TrainConfig(alpha=alpha, max_iterations=12_000)
+        reports = _assert_matches_frozen(X, y, cfg)
+        if alpha == 0.65:
+            assert any(r.converged for r in reports)
+        _assert_matches_frozen(X[:1], y[:1], cfg)  # the one-row batch of the benchmark
+
+
+def test_stop_test_at_the_tolerance_boundary():
+    # a tolerance equal to the first gradient norm stops at step 0, one ulp
+    # below it does not; across the draws the squared norm sits exactly on
+    # the threshold about half the time
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(1, 100, 2)) + 0.2
+        y = np.where(rng.random((1, 100)) < 0.4, -1.0, 1.0)
+        _, [(_, _, gn0, _)] = frozen_batched_gd(X, y, 1.0, max_iterations=0)
+        for tol, stops in ((gn0, True), (math.nextafter(gn0, 0.0), False)):
+            cfg = TrainConfig(optimality_parameter=tol, max_iterations=3)
+            (report,) = _assert_matches_frozen(X, y, cfg)
+            assert (report.converged and report.iterations == 0) == stops
+
+
+_THRESHOLD_TOLS = st.one_of(
+    st.sampled_from([1e-4, 1e-3]),
+    st.floats(min_value=1e-12, max_value=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_THRESHOLD_TOLS, ulps=st.integers(min_value=-64, max_value=64))
+def test_sqrt_threshold_decides_exactly_as_the_root(t, ulps):
+    thr = _sqrt_threshold(t)
+    assert math.sqrt(thr) <= t < math.sqrt(math.nextafter(thr, math.inf))
+    # x within 64 ulps of t * t
+    x = float(np.array(np.array(t * t).view(np.int64) + ulps).view(np.float64))
+    assert (x <= thr) == (np.sqrt(x) <= t)
+
+
+def test_sqrt_threshold_edges():
+    assert _sqrt_threshold(math.inf) == math.inf
+    assert _sqrt_threshold(1e-200) == 0.0  # t * t underflows; only 0 has a root that small
+    assert _sqrt_threshold(1e200) == np.finfo(float).max
+
+
+@pytest.mark.parametrize("scale, cfg, iteration, theta", [
+    (1e160, TrainConfig(alpha=1.0), 0, [0.0, 0.0]),
+    (1e3, TrainConfig(alpha=0.3, learning_rate=1.0), 1, [-159.8230869, -178.83186071]),
+])
+def test_nonfinite_gradient_raises_like_frozen_loop_without_warning(scale, cfg, iteration, theta):
+    rng = np.random.default_rng(0)
+    X = scale * rng.normal(size=(1, 100, 2))
+    y = np.where(rng.random((1, 100)) < 0.5, -1.0, 1.0)
+    with np.errstate(invalid="ignore"), pytest.raises(FrozenNumericError) as frozen:
+        frozen_batched_gd(X, y, cfg.alpha, cfg.learning_rate, cfg.optimality_parameter,
+                          cfg.max_iterations, cfg.radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericTrainingError) as err:
+            _batched_gd(X, y, cfg)
+    assert err.value.iteration == frozen.value.iteration == iteration
+    assert np.array_equal(err.value.theta, frozen.value.theta)
+    assert np.allclose(err.value.theta, theta, rtol=1e-9, atol=0.0)
 
 
 def test_projected_gd_stops_at_kkt_point():
@@ -315,6 +433,27 @@ def test_lattice_minima_and_single_basin():
     assert not single_basin(vals)
     bowl = np.add.outer(np.arange(-3, 4) ** 2, np.arange(-3, 4) ** 2).astype(float)
     assert single_basin(bowl)
+
+
+_LATTICE_CELLS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, np.nan, np.inf]),  # ties, plateaus, NaN
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    data=st.data(),
+)
+def test_lattice_minima_match_frozen_scan(shape, data):
+    cells = data.draw(st.lists(_LATTICE_CELLS, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+    vals = np.array(cells, dtype=float).reshape(shape)
+    got = lattice_strict_local_minima(vals)
+    assert got == frozen_lattice_strict_local_minima(vals)
+    assert all(type(i) is int and type(j) is int for i, j in got)
+    assert all(not np.isnan(vals[i, j]) for i, j in got)
 
 
 def test_landscape_single_basin_for_convex_member():
