@@ -185,11 +185,7 @@ def cmd_tilt(args) -> int:
 
 def cmd_landscape(args) -> int:
     spec = load_gmm(args.gmm)
-    if spec.dim != 2:
-        raise ConfigError("landscape requires a 2-D GMM spec")
     alpha = parse_alpha(args.alpha)
-    if args.compare_infinity and not canon_alpha(alpha) >= 1.0:
-        raise ConfigError("--compare-infinity requires alpha >= 1")
     data = sample_gmm(spec, args.n, seed=(args.seed, 1), normalize=True)
     saturation = None
     if args.compare_infinity:

@@ -12,6 +12,10 @@ which is equivalent whenever ||theta - theta0|| > rho; inside that ball
 the value condition is forced (ball containment), so a large gap there
 is a genuine violation.
 
+An objective is an ``OracleFunction``: one row-wise value/gradient pair.
+Certificate sweeps evaluate many theta per call, and NGD's pointwise
+steps are its one-row case.
+
 ``evolve_slqc`` maps a certificate at tuning value alpha0 >= 1 to one at
 a larger alpha, ``bootstrap_slqc`` takes the infinitesimal-step limit of
 that map, and ``bootstrap_sequences`` exposes the underlying finite-N
@@ -71,70 +75,45 @@ class NgdConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "theta1", np.asarray(self.theta1, dtype=float))
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ValueError("learning rate must be positive")
-        if self.iterations < 1:
+        if not self.iterations >= 1:
             raise ValueError("need at least one iteration")
 
 
 @dataclass
 class OracleFunction:
-    """Value/gradient pair over R^d, spot-checked at registration.
+    """Row-wise value/gradient pair over R^d, spot-checked at registration.
 
-    The gradient is compared against central finite differences at
-    ``check_points`` fixed points (0.1 times standard normals).  The
-    optional batch evaluators ``values`` and ``grads`` map an (m, d) array
-    of points to the m values and the (m, d) gradients and must agree with
-    ``value`` and ``grad`` at those points; without them, ``values_at`` and
-    ``grads_at`` loop over the pointwise evaluators.
+    ``values`` maps an (m, d) array of points to their m values and
+    ``grads`` to their (m, d) gradients; ``value`` and ``grad`` evaluate
+    one point as a one-row call.  At ``check_points`` fixed points (0.1
+    times standard normals) the gradient is compared with central
+    differences over the rows theta +- 1e-6 I, one ``values`` call per sign.
     """
 
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    values: Callable[[np.ndarray], np.ndarray]
+    grads: Callable[[np.ndarray], np.ndarray]
     dim: int
     check_points: int = 3
-    values: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grads: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         rng = derive_rng(20211115)
+        step = 1e-6 * np.eye(self.dim)
         for _ in range(self.check_points):
             theta = 0.1 * rng.standard_normal(self.dim)
-            g = np.asarray(self.grad(theta), dtype=float)
-            fd = finite_difference_gradient(self.value, theta)
+            g = self.grad(theta)
+            fd = (self.values(theta + step) - self.values(theta - step)) / 2e-6
             if np.max(np.abs(g - fd)) > 1e-5 * max(1.0, float(np.max(np.abs(g)))):
                 raise ValueError("gradient evaluator disagrees with finite differences")
-            if self.values is None and self.grads is None:
-                continue
-            v, gb = self.values_at(theta[None])[0], self.grads_at(theta[None])[0]
-            if not (np.isclose(v, self.value(theta), rtol=1e-9, atol=1e-12)
-                    and np.allclose(gb, g, rtol=1e-9, atol=1e-12)):
-                raise ValueError("batch evaluators disagree with the pointwise ones")
 
-    def values_at(self, thetas: np.ndarray) -> np.ndarray:
-        """Values at the rows of an (m, d) array."""
-        if self.values is not None:
-            return np.asarray(self.values(thetas), dtype=float)
-        return np.array([self.value(t) for t in thetas], dtype=float)
+    def value(self, theta) -> float:
+        """Value at one point: the one-row case of ``values``."""
+        return float(self.values(np.asarray(theta, dtype=float)[None])[0])
 
-    def grads_at(self, thetas: np.ndarray) -> np.ndarray:
-        """Gradients at the rows of an (m, d) array, shape (m, d)."""
-        if self.grads is not None:
-            return np.asarray(self.grads(thetas), dtype=float)
-        out = np.empty((len(thetas), self.dim))
-        for k, t in enumerate(thetas):
-            out[k] = self.grad(t)
-        return out
-
-
-def finite_difference_gradient(f, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty_like(theta)
-    for j in range(theta.size):
-        e = np.zeros_like(theta)
-        e[j] = step
-        out[j] = (f(theta + e) - f(theta - e)) / (2.0 * step)
-    return out
+    def grad(self, theta) -> np.ndarray:
+        """Gradient at one point: the one-row case of ``grads``."""
+        return self.grads(np.asarray(theta, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -166,7 +145,7 @@ def check_slqc_points(f: OracleFunction, thetas, theta0, epsilon, rho) -> List[S
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (m,))
     if not (np.all(eps > 0.0) and np.all(rho > 0.0)):
         raise ValueError("epsilon and rho must be positive")
-    gap = f.values_at(thetas) - f.values_at(theta0[None])[0]
+    gap = np.asarray(f.values(thetas), dtype=float) - f.value(theta0)
     dist = np.linalg.norm(thetas - theta0, axis=1)
     cond1 = gap <= eps
     inside = ~cond1 & (dist <= rho)
@@ -174,7 +153,7 @@ def check_slqc_points(f: OracleFunction, thetas, theta0, epsilon, rho) -> List[S
     grad_norm = np.full(m, np.nan)
     inner = np.full(m, np.nan)
     if descent.size:
-        G = f.grads_at(thetas[descent])
+        G = f.grads(thetas[descent])
         grad_norm[descent] = np.linalg.norm(G, axis=1)
         inner[descent] = -np.sum(G * (theta0 - thetas[descent]), axis=1)
 
@@ -234,11 +213,11 @@ def ngd(f: OracleFunction, config: NgdConfig, domain=None) -> NgdResult:
     if domain is not None:
         center, radius = np.asarray(domain[0], dtype=float), float(domain[1])
         theta = logistic.project_to_ball(theta, radius, center)
-    values = [float(f.value(theta))]
+    values = [f.value(theta)]
     best_theta, best_value = theta.copy(), values[0]
     stopped = False
     while len(values) < config.iterations:
-        g = np.asarray(f.grad(theta), dtype=float)
+        g = f.grad(theta)
         gn = float(np.linalg.norm(g))
         if gn <= GRAD_EPS:
             stopped = True
@@ -246,7 +225,7 @@ def ngd(f: OracleFunction, config: NgdConfig, domain=None) -> NgdResult:
         theta = theta - config.learning_rate * g / gn
         if domain is not None:
             theta = logistic.project_to_ball(theta, radius, center)
-        v = float(f.value(theta))
+        v = f.value(theta)
         values.append(v)
         if v < best_value:
             best_theta, best_value = theta.copy(), v
@@ -412,10 +391,6 @@ class AuditResult:
     n_condition2: int
     n_fails: int
 
-    @property
-    def violations(self) -> int:
-        return self.n_fails
-
 
 def audit_certificate(f: OracleFunction, cert: SlqcCertificate, thetas, max_workers=None) -> AuditResult:
     """Certificate sweep over sample points, evaluated serially in batches.
@@ -443,24 +418,16 @@ def _in_blocks(fn, thetas: np.ndarray, rows: int, *args) -> np.ndarray:
 def risk_oracle(data, alpha, validate: bool = True) -> OracleFunction:
     """Empirical-risk oracle over the dataset at a fixed tuning value.
 
-    Its batch evaluators process theta in blocks of at most
-    ``AUDIT_BLOCK_ELEMENTS`` margins.
+    Its evaluators process theta in blocks of at most
+    ``AUDIT_BLOCK_ELEMENTS`` margins.  A one-row call is the ``risks`` or
+    ``risk_gradients`` call of ``empirical_alpha_risk`` or
+    ``risk_gradient``, so ``value`` and ``grad`` return their bits.
     """
     X, y = logistic._as_xy(data)
     rows = max(1, AUDIT_BLOCK_ELEMENTS // X.shape[0])
-
-    def value(theta):
-        return logistic.empirical_alpha_risk(theta, (X, y), alpha)
-
-    def grad(theta):
-        return logistic.risk_gradient(theta, (X, y), alpha)
-
-    def values(thetas):
-        return _in_blocks(logistic.risk_batch, thetas, rows, (X, y), alpha)
-
-    def grads(thetas):
-        return _in_blocks(logistic.risk_gradient_batch, thetas, rows, (X, y), alpha)
-
     return OracleFunction(
-        value, grad, X.shape[1], check_points=3 if validate else 0, values=values, grads=grads
+        lambda thetas: _in_blocks(logistic.risk_batch, thetas, rows, (X, y), alpha),
+        lambda thetas: _in_blocks(logistic.risk_gradient_batch, thetas, rows, (X, y), alpha),
+        X.shape[1],
+        check_points=3 if validate else 0,
     )

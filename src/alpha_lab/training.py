@@ -55,9 +55,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0 or self.optimality_parameter <= 0.0:
+        if not (self.learning_rate > 0.0 and self.optimality_parameter > 0.0):
             raise ValueError("learning rate and optimality parameter must be positive")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("need at least one iteration")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")

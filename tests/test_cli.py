@@ -124,7 +124,7 @@ def test_landscape_grid_one(tmp_path):
     assert float(rows[0][2]) == pytest.approx(math.log(2), rel=1e-12)
 
 
-def test_landscape_saturation_flag(tmp_path):
+def test_landscape_saturation_flag(tmp_path, capsys):
     gmm = write_gmm(tmp_path)
     out = tmp_path / "sat.csv"
     rc = main([
@@ -138,7 +138,8 @@ def test_landscape_saturation_flag(tmp_path):
         "landscape", "--gmm", gmm, "--alpha", "0.5", "--radius", "1.0", "--grid", "5",
         "--n", "100", "--out", str(out), "--compare-infinity",
     ])
-    assert rc == 2  # saturation audit needs alpha >= 1
+    assert rc == 2
+    assert "saturation audit needs alpha >= 1" in capsys.readouterr().err
 
 
 def test_landscape_saturation_shares_the_risk_grid(tmp_path):
@@ -156,7 +157,7 @@ def test_landscape_saturation_shares_the_risk_grid(tmp_path):
         assert f"# {key}: {cli._fmt(val)}" in comments
 
 
-def test_landscape_rejects_non_2d(tmp_path):
+def test_landscape_rejects_non_2d(tmp_path, capsys):
     gmm = write_gmm(
         tmp_path, name="gmm3.json",
         mean_minus=[-1.0, -1.0, 0.0], mean_plus=[1.0, 1.0, 0.0],
@@ -164,6 +165,7 @@ def test_landscape_rejects_non_2d(tmp_path):
     )
     rc = main(["landscape", "--gmm", gmm, "--alpha", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    assert "landscape grids are defined for d = 2" in capsys.readouterr().err
 
 
 def test_synth_single_run_determinism(tmp_path):

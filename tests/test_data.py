@@ -21,6 +21,7 @@ from alpha_lab.datasets import (
 )
 from alpha_lab.cli import SCENARIOS
 from alpha_lab.logistic import risk_gradient
+from alpha_lab.slqc import NgdConfig
 from alpha_lab.training import (
     _STREAM_CORRUPT,
     _STREAM_DATA,
@@ -484,6 +485,19 @@ def test_train_config_rejects_nan_and_nonpositive_radius():
         with pytest.raises(ValueError, match="radius must be positive"):
             TrainConfig(radius=radius)
     assert TrainConfig(radius=np.inf).radius == np.inf  # unconstrained training
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrainConfig(learning_rate=np.nan),
+    lambda: TrainConfig(optimality_parameter=np.nan),
+    lambda: TrainConfig(max_iterations=np.nan),
+    lambda: NgdConfig(np.nan, 10, np.zeros(2)),
+    lambda: NgdConfig(0.1, np.nan, np.zeros(2)),
+], ids=["train-lr", "train-tol", "train-iterations", "ngd-lr", "ngd-iterations"])
+def test_configs_reject_nan(make):
+    # NaN fails every comparison, so the checks are written as "not x > 0"
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_experiment_single_run_equals_single_predictor():

@@ -34,8 +34,8 @@ from alpha_lab.slqc import (
 def quadratic_oracle(center, dim):
     center = np.asarray(center, dtype=float)
     return OracleFunction(
-        value=lambda t: float(np.sum((t - center) ** 2)),
-        grad=lambda t: 2.0 * (t - center),
+        values=lambda T: np.sum((T - center) ** 2, axis=1),
+        grads=lambda T: 2.0 * (T - center),
         dim=dim,
     )
 
@@ -52,8 +52,8 @@ def test_certificate_invariants():
 def test_oracle_registration_rejects_wrong_gradient():
     with pytest.raises(ValueError):
         OracleFunction(
-            value=lambda t: float(np.sum(t**2)),
-            grad=lambda t: np.ones_like(t),  # wrong on purpose
+            values=lambda T: np.sum(T**2, axis=1),
+            grads=lambda T: np.ones_like(T),  # wrong on purpose
             dim=3,
         )
 
@@ -81,8 +81,8 @@ def test_constructed_violation_reports_witness():
     # concave bowl: at theta = (1,0) the negative gradient ascends away
     # from a reference on the opposite side, and the value gap is large
     f = OracleFunction(
-        value=lambda t: float(-np.sum(t**2)),
-        grad=lambda t: -2.0 * t,
+        values=lambda T: -np.sum(T**2, axis=1),
+        grads=lambda T: -2.0 * T,
         dim=2,
     )
     cert = SlqcCertificate(0.01, 10.0, np.array([-3.0, 0.0]))
@@ -96,8 +96,8 @@ def test_constructed_violation_reports_witness():
 def test_ball_containment_failure_mode():
     # inside the rho-ball only the value condition counts
     f = OracleFunction(
-        value=lambda t: float(100.0 * np.abs(t).sum()),
-        grad=lambda t: 100.0 * np.sign(t),
+        values=lambda T: 100.0 * np.abs(T).sum(axis=1),
+        grads=lambda T: 100.0 * np.sign(T),
         dim=1,
         check_points=0,
     )
@@ -306,7 +306,7 @@ def test_lipschitz_certificates_pass_on_strongly_convex_risk():
         cert = SlqcCertificate(0.02, kappa, theta0)
         thetas = sample_audit_points(2, r, budget=128, seed=13)
         res = audit_certificate(f, cert, thetas)
-        assert res.violations == 0
+        assert res.n_fails == 0
 
 
 def test_end_to_end_evolution_recheck():
@@ -351,14 +351,19 @@ AUDIT_BLOCK = AUDIT_BLOCK_ELEMENTS // AUDIT_DATA.n
 )
 def test_batched_verdicts_match_pointwise(alpha, count, theta0, epsilon, per_point, seed):
     # blocks of the batched oracle, masks and per-point certificates give
-    # the verdicts of one check_slqc_at call per point, and of the serial
-    # fallback without batch evaluators; the wide kappa range reaches all
+    # the verdicts of one check_slqc_at call per point, and of an oracle
+    # that evaluates one row at a time; the wide kappa range reaches all
     # three verdicts and both failure modes
     rng = np.random.default_rng(seed)
     theta0 = np.array(theta0)
     thetas = rng.uniform(-6.0, 6.0, size=(count, 2))
     oracle = risk_oracle(AUDIT_DATA, alpha, validate=False)
-    serial = OracleFunction(oracle.value, oracle.grad, 2, check_points=0)
+    serial = OracleFunction(
+        lambda T: np.array([empirical_alpha_risk(t, AUDIT_DATA, alpha) for t in T]),
+        lambda T: np.array([risk_gradient(t, AUDIT_DATA, alpha) for t in T]),
+        2,
+        check_points=0,
+    )
     if per_point:
         eps = epsilon * rng.uniform(0.1, 10.0, count)
         kappa = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), count))
@@ -394,7 +399,8 @@ def test_batched_check_rejects_bad_certificates():
 
 def test_vanishing_gradient_fails_in_batch():
     f = OracleFunction(
-        value=lambda t: float(t @ t), grad=lambda t: np.zeros_like(t), dim=2, check_points=0
+        values=lambda T: np.sum(T * T, axis=1), grads=lambda T: np.zeros_like(T), dim=2,
+        check_points=0,
     )
     cert = SlqcCertificate(0.01, 1.0, np.zeros(2))  # rho = 0.01
     thetas = np.array([[0.05, 0.0], [1.0, 0.0], [0.001, 0.0]])
@@ -403,3 +409,43 @@ def test_vanishing_gradient_fails_in_batch():
     assert checks[1].grad_norm == 0.0 and checks[1].inner_product is None
     assert "gradient vanishes" in checks[1].detail
     assert checks == [check_slqc_at(f, t, cert) for t in thetas]
+
+
+PIN_ALPHAS = [0.7, 1.0, 1.003, 4.0, np.inf]
+
+
+@pytest.mark.parametrize("alpha", PIN_ALPHAS)
+def test_oracle_one_row_is_the_pointwise_risk(alpha):
+    # value and grad return the bits of empirical_alpha_risk and risk_gradient
+    oracle = risk_oracle(AUDIT_DATA, alpha)
+    for theta in sample_audit_points(2, 3.0, budget=64, seed=43):
+        assert oracle.value(theta) == empirical_alpha_risk(theta, AUDIT_DATA, alpha)
+        assert np.array_equal(oracle.grad(theta), risk_gradient(theta, AUDIT_DATA, alpha))
+
+
+@pytest.mark.parametrize("alpha", PIN_ALPHAS)
+def test_projected_ngd_matches_a_pointwise_reference_loop(alpha):
+    center, radius = np.array([0.3, -0.2]), 1.5
+    config = NgdConfig(0.07, 60, np.array([2.0, 1.0]))
+    res = ngd(risk_oracle(AUDIT_DATA, alpha), config, domain=(center, radius))
+
+    def project(theta):
+        offset = theta - center
+        nrm = np.linalg.norm(offset)
+        return theta if nrm <= radius else center + offset * (radius / nrm)
+
+    theta = project(config.theta1)
+    values = [empirical_alpha_risk(theta, AUDIT_DATA, alpha)]
+    best_theta, best_value = theta, values[0]
+    while len(values) < config.iterations:
+        g = risk_gradient(theta, AUDIT_DATA, alpha)
+        gn = np.linalg.norm(g)
+        if gn <= 1e-12:
+            break
+        theta = project(theta - config.learning_rate * g / gn)
+        values.append(empirical_alpha_risk(theta, AUDIT_DATA, alpha))
+        if values[-1] < best_value:
+            best_theta, best_value = theta, values[-1]
+    assert res.values == values
+    assert np.array_equal(res.best_theta, best_theta)
+    assert res.best_value == best_value
