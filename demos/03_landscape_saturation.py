@@ -20,8 +20,9 @@ SPEC = GmmSpec(
 data = sample_gmm(SPEC, 2000, seed=4, normalize=True)
 
 print("landscape survey over the radius-5 parameter square (61 x 61 lattice)")
-for alpha in (0.95, 1.0, 2.0, 10.0):
-    _, risks = landscape_grid(data, alpha, radius=5.0, grid_size=61)
+survey_alphas = (0.95, 1.0, 2.0, 10.0)
+_, surveys = landscape_grid(data, survey_alphas, radius=5.0, grid_size=61)
+for alpha, risks in zip(survey_alphas, surveys):
     print(
         f"  alpha={alpha:>5g}: min={risks.min():.4f} max={risks.max():.4f} "
         f"single_basin={single_basin(risks)}"
@@ -29,7 +30,7 @@ for alpha in (0.95, 1.0, 2.0, 10.0):
 
 print("\nsaturation toward the alpha = inf landscape (radius-1 lattice)")
 for alpha in (5.0, 10.0, 20.0):
-    rep = saturation_report(data, radius=1.0, grid_size=51, alpha=alpha)
+    _, _, rep = saturation_report(data, radius=1.0, grid_size=51, alpha=alpha)
     print(
         f"  alpha={alpha:>4g}: max|R_a - R_inf| = {rep['max_value_gap']:.5f} "
         f"<= {rep['max_value_bound']:.5f};  max grad gap = {rep['max_grad_gap']:.5f} "

@@ -6,7 +6,7 @@ import numpy as np
 from alpha_lab import (
     BoundQuery,
     GmmSpec,
-    audit_generalization,
+    audit_generalizations,
     optimality_trend,
     rademacher_bound,
     uniform_discrepancy_bound,
@@ -30,7 +30,7 @@ for alpha in (2.0, 10.0, 100.0, np.inf):
 
 print("\nsmall empirical audit (10 trials, n=500, delta=0.2)")
 q = BoundQuery(alpha=1.0, r=1.0, d=2, n=500, delta=0.2)
-audit = audit_generalization(SPEC, q, trials=10, n_theta=100, pop_n=200_000, seed=9)
+(audit,) = audit_generalizations(SPEC, [q], trials=10, n_theta=100, pop_n=200_000, seed=9)
 print(f"  measured sup gaps: max={audit.measured.max():.4f} vs bound={audit.bound:.4f} "
       f"(pass fraction {audit.pass_fraction:.2f})")
 

@@ -90,7 +90,6 @@ from .training import (
 )
 from .bounds import (
     BoundQuery,
-    audit_generalization,
     audit_generalizations,
     audit_uniform_discrepancy,
     optimality_trend,

@@ -191,18 +191,6 @@ def audit_generalizations(
     return _run_audits(spec, jobs, trials, n_theta, pop_n, seed)
 
 
-def audit_generalization(
-    spec: GmmSpec,
-    query: BoundQuery,
-    trials: int,
-    n_theta: int = 200,
-    pop_n: int = 1_000_000,
-    seed: int = 0,
-) -> GeneralizationAudit:
-    """``audit_generalizations`` for one query."""
-    return audit_generalizations(spec, [query], trials, n_theta, pop_n, seed)[0]
-
-
 def audit_uniform_discrepancy(
     spec: GmmSpec,
     query: BoundQuery,
@@ -260,6 +248,8 @@ def optimality_trend(
     the Gaussian projection of the mixture, and compared with the Bayes
     risk of the clean distribution.
     """
+    if runs < 1:
+        raise ValueError("need at least one run")
     a = canon_alpha(alpha)
     cfg = replace(config or TrainConfig(), alpha=a)
     rstar = bayes_risk(spec)

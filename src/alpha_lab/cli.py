@@ -26,7 +26,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +43,9 @@ from .info import tilt_posterior
 from .losses import as_pmf, canon_alpha
 from .training import (
     TrainConfig,
-    _landscape_saturation,
     landscape_grid,
     run_synthetic_experiment,
+    saturation_report,
     single_basin,
     train_gd,
 )
@@ -189,9 +189,9 @@ def cmd_landscape(args) -> int:
     data = sample_gmm(spec, args.n, seed=(args.seed, 1), normalize=True)
     saturation = None
     if args.compare_infinity:
-        axis, risks, saturation = _landscape_saturation(data, alpha, args.radius, args.grid)
+        axis, risks, saturation = saturation_report(data, args.radius, args.grid, alpha)
     else:
-        axis, risks = landscape_grid(data, alpha, args.radius, args.grid)
+        axis, (risks,) = landscape_grid(data, [alpha], args.radius, args.grid)
     manifest = _manifest(args, "landscape", args.gmm)
     manifest["alpha"] = _fmt(alpha)
     manifest["grid"] = args.grid
@@ -265,14 +265,15 @@ def _floor_grid(alpha0) -> List[float]:
     return list(np.arange(alpha0, 64.0 + 1e-9, 0.25)) + [np.inf]
 
 
-def _gradient_floor(thetas, data, alpha0) -> np.ndarray:
-    """Caller-audited lower bound on the gradient norm over alpha' >= alpha0.
+def _gradient_floor(thetas, data, alpha0) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradient norms at alpha0 and a lower bound on them over alpha' >= alpha0.
 
-    Minimum over the tuning grid of ``_floor_grid`` with a 5% safety
-    margin, per theta.
+    Both come from one gradient pass over the tuning grid of
+    ``_floor_grid``, whose first value is alpha0.  The bound is the
+    minimum over that grid with a 5% safety margin, per theta.
     """
-    grads = logistic.risk_gradients(thetas, data, _floor_grid(alpha0))
-    return 0.95 * np.linalg.norm(grads, axis=2).min(axis=0)
+    norms = np.linalg.norm(logistic.risk_gradients(thetas, data, _floor_grid(alpha0)), axis=2)
+    return norms[0], 0.95 * norms.min(axis=0)
 
 
 def _check_certificates(oracle, thetas, theta0, certs) -> Dict[int, slqc.SlqcCheck]:
@@ -303,8 +304,7 @@ def cmd_slqc_audit(args) -> int:
     rho0 = args.eps0 / kappa0
     thetas = slqc.sample_audit_points(spec.dim, args.radius, args.samples, seed=(args.seed, 12))
 
-    grad0 = np.linalg.norm(logistic.risk_gradient_batch(thetas, data, alpha0), axis=1)
-    g_floor = _gradient_floor(thetas, data, alpha0)
+    grad0, g_floor = _gradient_floor(thetas, data, alpha0)
     L = logistic.alpha_lipschitz_risk(thetas)
     J = logistic.alpha_lipschitz_gradient(thetas)
     rows = []

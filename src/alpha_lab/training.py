@@ -10,7 +10,8 @@ vanishes at a constrained minimizer on the sphere.
 for several tuning values, averages the trained linear predictors, and
 reports their angles to the Bayes reference plus balanced-test
 accuracies.  ``landscape_grid`` evaluates the empirical risk over a 2-D
-parameter lattice for landscape and saturation audits.
+parameter lattice for many tuning values in one pass, and
+``saturation_report`` audits that lattice's approach to alpha = inf.
 """
 
 from __future__ import annotations
@@ -390,12 +391,19 @@ def run_synthetic_experiment(
     )
 
 
-def _lattice_risks(data: LabeledDataset, alphas, radius: float, grid_size: int):
-    """(axis, thetas, risks) over the square lattice in the 2-D parameter plane.
+def _lattice_points(axis: np.ndarray) -> np.ndarray:
+    """The len(axis)^2 points (axis[i], axis[j]) of the square lattice, row-major."""
+    t1, t2 = np.meshgrid(axis, axis, indexing="ij")
+    return np.stack([t1.ravel(), t2.ravel()], axis=1)
 
-    ``axis`` spans [-radius, radius] in grid_size points (one point sits
-    at 0), ``thetas`` holds the grid_size^2 lattice points row-major, and
-    row k of ``risks`` the empirical risks at them for ``alphas[k]``.
+
+def landscape_grid(data: LabeledDataset, alphas, radius: float, grid_size: int):
+    """Empirical risks over the square lattice in the 2-D parameter plane, one pass.
+
+    Returns (axis, risks).  ``axis`` spans [-radius, radius] in grid_size
+    points; it holds 0 only for odd grid_size (grid_size 2 gives
+    [-radius, radius]).  risks[k, i, j] is the risk at
+    theta = (axis[i], axis[j]) for ``alphas[k]``.
     """
     if data.dim != 2:
         raise ValueError("landscape grids are defined for d = 2")
@@ -404,45 +412,28 @@ def _lattice_risks(data: LabeledDataset, alphas, radius: float, grid_size: int):
     if not 0.0 < radius < np.inf:
         raise ValueError(f"radius must be finite and positive, got {radius}")
     axis = np.zeros(1) if grid_size == 1 else np.linspace(-radius, radius, grid_size)
-    t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-    thetas = np.stack([t1.ravel(), t2.ravel()], axis=1)
-    return axis, thetas, logistic.risks(thetas, data, alphas)
-
-
-def landscape_grid(data: LabeledDataset, alpha, radius: float, grid_size: int):
-    """Empirical risk over the square lattice in the 2-D parameter plane.
-
-    Returns (axis, risk matrix) with risk[i, j] at theta = (axis[i], axis[j]).
-    """
-    axis, _, (risks,) = _lattice_risks(data, [alpha], radius, grid_size)
-    return axis, risks.reshape(grid_size, grid_size)
+    risks = logistic.risks(_lattice_points(axis), data, alphas)
+    return axis, risks.reshape(len(risks), grid_size, grid_size)
 
 
 def saturation_report(
     data: LabeledDataset, radius: float, grid_size: int, alpha: float = 10.0
-) -> Dict[str, float]:
-    """Grid audit of |risk_alpha - risk_inf| against the 1/alpha rate.
+) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
+    """Grid audit of |risk_alpha - risk_inf| against the 1/alpha rate, one risk pass.
 
     Both the value gap and the gradient gap are compared with the
     respective Lipschitz-in-1/alpha envelopes max L/alpha and max J/alpha
     over the same lattice.  Requires alpha >= 1 and unit-box features.
-    """
-    return _landscape_saturation(data, alpha, radius, grid_size)[2]
-
-
-def _landscape_saturation(data: LabeledDataset, alpha, radius: float, grid_size: int):
-    """(axis, risk matrix, saturation report) from one risk pass over the lattice.
-
-    The risk matrix holds the alpha risks that the report compares with
-    alpha = inf; they equal what ``landscape_grid`` returns for the same
-    arguments, bit for bit.
+    Returns (axis, risk matrix at alpha, report); axis and matrix equal
+    what ``landscape_grid`` returns for [alpha], bit for bit.
     """
     a = canon_alpha(alpha)
     if not a >= 1.0:
         raise ValueError("saturation audit needs alpha >= 1")
     if not data.normalized:
         raise ValueError("saturation envelopes assume unit-box features; normalize the data")
-    axis, thetas, (r_a, r_inf) = _lattice_risks(data, [a, np.inf], radius, grid_size)
+    axis, (r_a, r_inf) = landscape_grid(data, [a, np.inf], radius, grid_size)
+    thetas = _lattice_points(axis)
     g_a, g_inf = logistic.risk_gradients(thetas, data, [a, np.inf])
     value_gap = float(np.abs(r_a - r_inf).max())
     value_bound = float((logistic.alpha_lipschitz_risk(thetas) / a).max())
@@ -453,7 +444,7 @@ def _landscape_saturation(data: LabeledDataset, alpha, radius: float, grid_size:
         "max_grad_gap": grad_gap, "max_grad_bound": grad_bound,
         "value_ok": value_gap <= value_bound, "grad_ok": grad_gap <= grad_bound,
     }
-    return axis, r_a.reshape(grid_size, grid_size), report
+    return axis, r_a, report
 
 
 def lattice_strict_local_minima(values: np.ndarray) -> List[Tuple[int, int]]:

@@ -217,7 +217,7 @@ def test_criterion_07_ngd_guarantee():
 def test_criterion_08_saturation_grid():
     with criterion(8, "saturation of the risk and gradient landscapes", 60.0):
         data = sample_gmm(SATURATION_SPEC, 2000, seed=88, normalize=True)
-        rep = saturation_report(data, radius=1.0, grid_size=101, alpha=10.0)
+        _, _, rep = saturation_report(data, radius=1.0, grid_size=101, alpha=10.0)
         assert rep["max_value_gap"] <= rep["max_value_bound"]
         assert rep["max_grad_gap"] <= rep["max_grad_bound"]
 

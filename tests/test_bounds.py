@@ -5,7 +5,6 @@ from scipy.stats import norm
 from alpha_lab import bounds
 from alpha_lab.bounds import (
     BoundQuery,
-    audit_generalization,
     audit_generalizations,
     audit_uniform_discrepancy,
     optimality_trend,
@@ -79,7 +78,7 @@ def test_uniform_discrepancy_bound_structure():
 
 def test_generalization_audit_small():
     q = BoundQuery(alpha=1.0, r=1.0, d=2, n=300, delta=0.2)
-    audit = audit_generalization(SYMMETRIC, q, trials=5, n_theta=50, pop_n=100_000, seed=1)
+    (audit,) = audit_generalizations(SYMMETRIC, [q], trials=5, n_theta=50, pop_n=100_000, seed=1)
     assert audit.pass_fraction == 1.0
     assert np.all(audit.measured >= 0.0 - 1e-12)
 
@@ -157,7 +156,7 @@ def test_grouped_audits_match_one_query_audits_and_seed_form():
     grouped = audit_generalizations(SYMMETRIC, queries, **kw)
     assert len(grouped) == len(queries)
     for q, audit in zip(queries, grouped):
-        alone = audit_generalization(SYMMETRIC, q, **kw)
+        (alone,) = audit_generalizations(SYMMETRIC, [q], **kw)
         assert audit.alpha == alone.alpha == q.alpha
         assert audit.bound == alone.bound == rademacher_bound(q)
         assert audit.measured.tobytes() == alone.measured.tobytes()
@@ -171,7 +170,7 @@ def test_trial_datasets_drawn_once_per_group(monkeypatch):
     queries = [BoundQuery(alpha=a, r=1.0, d=2, n=200, delta=0.2) for a in (0.5, 1.0, 2.0, np.inf)]
     queries.insert(2, BoundQuery(alpha=2.0, r=1.0, d=2, n=100, delta=0.2))
     kw = dict(trials=3, n_theta=20, pop_n=5_000, seed=6)
-    alone = [audit_generalization(SYMMETRIC, q, **kw) for q in queries]
+    alone = [audit_generalizations(SYMMETRIC, [q], **kw)[0] for q in queries]
     draws = []
 
     def counting_sample_gmm(spec, n, seed, **kwargs):
@@ -201,15 +200,16 @@ def test_audits_reject_empty_sizes(name, value):
     q = BoundQuery(alpha=1.0, r=1.0, d=2, n=100, delta=0.2)
     kw = dict(trials=2, n_theta=10, pop_n=1000, seed=0)
     kw[name] = value
-    for audit in (audit_generalization, audit_uniform_discrepancy):
-        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-            audit(SYMMETRIC, q, **kw)
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        audit_generalizations(SYMMETRIC, [q], **kw)
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        audit_uniform_discrepancy(SYMMETRIC, q, **kw)
 
 
 def test_audit_rejects_dimension_mismatch():
     q = BoundQuery(alpha=1.0, r=1.0, d=3, n=100, delta=0.2)
     with pytest.raises(ValueError, match="d=3"):
-        audit_generalization(SYMMETRIC, q, trials=2, n_theta=10, pop_n=1000)
+        audit_generalizations(SYMMETRIC, [q], trials=2, n_theta=10, pop_n=1000)
 
 
 def test_bayes_risk_of_symmetric_spec():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import alpha_lab
-from alpha_lab import cli
+from alpha_lab import cli, logistic
 from alpha_lab.cli import main
 from alpha_lab.datasets import GmmSpec, sample_gmm
 from alpha_lab.slqc import SlqcCertificate, check_slqc_at, risk_oracle, sample_audit_points
@@ -151,7 +151,7 @@ def test_landscape_saturation_shares_the_risk_grid(tmp_path):
     assert body_bytes(tmp_path / "sat.csv") == body_bytes(tmp_path / "plain.csv")
     # the manifest keys are the report of the standalone audit
     data = sample_gmm(cli.load_gmm(gmm), 300, seed=(3, 1), normalize=True)
-    report = saturation_report(data, 1.0, 7, 10.0)
+    _, _, report = saturation_report(data, 1.0, 7, 10.0)
     comments, _, _ = read_csv(tmp_path / "sat.csv")
     for key, val in report.items():
         assert f"# {key}: {cli._fmt(val)}" in comments
@@ -322,6 +322,14 @@ def test_trend_strict_violation_exit_code(tmp_path):
     assert rc == 4
 
 
+def test_trend_rejects_zero_runs(tmp_path, capsys):
+    gmm = write_gmm(tmp_path)
+    rc = main(["trend", "--gmm", gmm, "--ns", "50", "--runs", "0",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "need at least one run" in capsys.readouterr().err
+
+
 def test_trend_subcommand(tmp_path):
     gmm = write_gmm(tmp_path)
     out = tmp_path / "trend.csv"
@@ -409,7 +417,16 @@ def test_gradient_floor_bit_identical_to_seed_form():
             thetas = sample_audit_points(2, radius, 32, seed=(seed, 12))
             for alpha0 in (1.0, 1.5):
                 ref = seed_gradient_floor(thetas, data.X, data.y.astype(float), alpha0)
-                assert agrees_with_frozen(cli._gradient_floor(thetas, data, alpha0), ref).all()
+                assert agrees_with_frozen(cli._gradient_floor(thetas, data, alpha0)[1], ref).all()
+
+
+def test_gradient_floor_norms_at_alpha0_are_the_batch_gradient_norms():
+    spec = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
+    data = sample_gmm(spec, 500, seed=(0, 11), normalize=True)
+    thetas = sample_audit_points(2, 1.0, 32, seed=(0, 12))
+    for alpha0 in (1.0, 1.5):
+        ref = np.linalg.norm(logistic.risk_gradient_batch(thetas, data, alpha0), axis=1)
+        assert cli._gradient_floor(thetas, data, alpha0)[0].tobytes() == ref.tobytes()
 
 
 def test_linalg_error_is_numeric_failure(tmp_path, monkeypatch, capsys):

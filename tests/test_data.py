@@ -411,10 +411,10 @@ def test_landscape_grid_shapes_and_constant_dataset():
     X = np.zeros((10, 2))
     y = np.array([1, -1] * 5)
     const = LabeledDataset(X, y, np.zeros(10, bool), y.copy())
-    axis, risks = landscape_grid(const, 1.0, radius=1.0, grid_size=5)
+    axis, (risks,) = landscape_grid(const, [1.0], radius=1.0, grid_size=5)
     assert risks.shape == (5, 5)
     assert np.allclose(risks, np.log(2))
-    axis1, risks1 = landscape_grid(const, 1.0, radius=1.0, grid_size=1)
+    axis1, (risks1,) = landscape_grid(const, [1.0], radius=1.0, grid_size=1)
     assert axis1[0] == 0.0 and risks1.shape == (1, 1)
 
 
@@ -459,13 +459,35 @@ def test_lattice_minima_match_frozen_scan(shape, data):
 
 def test_landscape_single_basin_for_convex_member():
     data = sample_gmm(SKEWED, 1500, seed=19, normalize=True)
-    _, risks = landscape_grid(data, 0.95, radius=5.0, grid_size=41)
+    _, (risks,) = landscape_grid(data, [0.95], radius=5.0, grid_size=41)
     assert single_basin(risks)
+
+
+def test_landscape_grid_many_alphas_equal_one_alpha_calls():
+    data = sample_gmm(SKEWED, 600, seed=21, normalize=True)
+    alphas = [0.5, 1.0, 4.0, np.inf]
+    axis, risks = landscape_grid(data, alphas, radius=2.0, grid_size=9)
+    assert risks.shape == (4, 9, 9)
+    for alpha, got in zip(alphas, risks):
+        axis1, (one,) = landscape_grid(data, [alpha], radius=2.0, grid_size=9)
+        assert axis1.tobytes() == axis.tobytes()
+        assert got.tobytes() == one.tobytes()
+    # an even grid has no point at 0
+    axis2, _ = landscape_grid(data, [1.0], radius=2.0, grid_size=2)
+    assert axis2.tolist() == [-2.0, 2.0]
+
+
+def test_saturation_matrix_is_the_landscape_grid():
+    data = sample_gmm(SKEWED, 600, seed=22, normalize=True)
+    axis, risks, _ = saturation_report(data, radius=1.0, grid_size=11, alpha=10.0)
+    ref_axis, ref = landscape_grid(data, [10.0], radius=1.0, grid_size=11)
+    assert axis.tobytes() == ref_axis.tobytes()
+    assert risks.tobytes() == ref[0].tobytes()
 
 
 def test_saturation_report_bounds_hold():
     data = sample_gmm(SKEWED, 1500, seed=23, normalize=True)
-    rep = saturation_report(data, radius=1.0, grid_size=21, alpha=10.0)
+    _, _, rep = saturation_report(data, radius=1.0, grid_size=21, alpha=10.0)
     assert rep["value_ok"] and rep["grad_ok"]
     with pytest.raises(ValueError):
         saturation_report(data, radius=1.0, grid_size=5, alpha=0.5)
@@ -475,7 +497,7 @@ def test_saturation_report_bounds_hold():
 def test_lattice_audits_reject_bad_radius(radius):
     data = sample_gmm(SKEWED, 50, seed=24, normalize=True)
     with pytest.raises(ValueError, match="radius must be finite and positive"):
-        landscape_grid(data, 1.0, radius, 3)
+        landscape_grid(data, [1.0], radius, 3)
     with pytest.raises(ValueError, match="radius must be finite and positive"):
         saturation_report(data, radius, 3)
 

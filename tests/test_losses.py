@@ -344,6 +344,17 @@ def test_one_implementation_of_each_kernel():
         assert not _names(ast.parse(path.read_text())) & {"expit", "logaddexp"}, path.name
 
 
+def test_one_lattice_builder_in_training():
+    # the lattice points are built once, in _lattice_points, and the
+    # folded-away lattice entry points stay gone
+    tree = ast.parse((LIBRARY / "training.py").read_text())
+    assert sum(isinstance(n, ast.Attribute) and n.attr == "meshgrid"
+               for n in ast.walk(tree)) == 1
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert "meshgrid" in _names(funcs["_lattice_points"])
+    assert not set(funcs) & {"_lattice_risks", "_landscape_saturation"}
+
+
 def test_one_implementation_of_the_minimal_risk():
     # the alpha-norm is computed once, in info._row_risks: logsumexp is
     # named nowhere else but info's import, and the enumeration oracle
