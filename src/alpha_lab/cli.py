@@ -261,19 +261,20 @@ def cmd_synth(args) -> int:
 
 
 def _floor_grid(alpha0) -> List[float]:
-    """Tuning grid {alpha0, alpha0 + 0.25, ..., 64, inf} of the gradient floor."""
+    """Tuning grid {alpha0, alpha0 + 0.25, ..., 64, inf} of the gradient floor ({inf} above 64)."""
     return list(np.arange(alpha0, 64.0 + 1e-9, 0.25)) + [np.inf]
 
 
 def _gradient_floor(thetas, data, alpha0) -> Tuple[np.ndarray, np.ndarray]:
     """Gradient norms at alpha0 and a lower bound on them over alpha' >= alpha0.
 
-    Both come from one gradient pass over the tuning grid of
-    ``_floor_grid``, whose first value is alpha0.  The bound is the
-    minimum over that grid with a 5% safety margin, per theta.
+    One gradient pass covers alpha0 and the ``_floor_grid`` grid, which starts
+    at alpha0 unless alpha0 > 64; the bound is 0.95 x the grid minimum, per theta.
     """
-    norms = np.linalg.norm(logistic.risk_gradients(thetas, data, _floor_grid(alpha0)), axis=2)
-    return norms[0], 0.95 * norms.min(axis=0)
+    grid = _floor_grid(alpha0)
+    head = [] if grid[0] == alpha0 else [alpha0]
+    norms = np.linalg.norm(logistic.risk_gradients(thetas, data, head + grid), axis=2)
+    return norms[0], 0.95 * norms[len(head):].min(axis=0)
 
 
 def _check_certificates(oracle, thetas, theta0, certs) -> Dict[int, slqc.SlqcCheck]:

@@ -415,7 +415,7 @@ def test_gradient_floor_bit_identical_to_seed_form():
         data = sample_gmm(spec, 500, seed=(seed, 11), normalize=True)
         for radius in (0.2, 1.0):
             thetas = sample_audit_points(2, radius, 32, seed=(seed, 12))
-            for alpha0 in (1.0, 1.5):
+            for alpha0 in (1.0, 1.5, 64.0, 100.0):
                 ref = seed_gradient_floor(thetas, data.X, data.y.astype(float), alpha0)
                 assert agrees_with_frozen(cli._gradient_floor(thetas, data, alpha0)[1], ref).all()
 
@@ -424,7 +424,8 @@ def test_gradient_floor_norms_at_alpha0_are_the_batch_gradient_norms():
     spec = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
     data = sample_gmm(spec, 500, seed=(0, 11), normalize=True)
     thetas = sample_audit_points(2, 1.0, 32, seed=(0, 12))
-    for alpha0 in (1.0, 1.5):
+    # 64 is the grid's last finite value; above it the grid is {inf} alone
+    for alpha0 in (1.0, 1.5, 64.0, 64.1, 100.0):
         ref = np.linalg.norm(logistic.risk_gradient_batch(thetas, data, alpha0), axis=1)
         assert cli._gradient_floor(thetas, data, alpha0)[0].tobytes() == ref.tobytes()
 
