@@ -11,11 +11,9 @@ Features are optionally mapped to [0,1]^d through the fixed clipping box
 ``CLIP_BOX`` (the same affine map for train and test); raw-coordinate
 datasets carry ``normalized=False`` and skip the unit-box invariant.
 
-Importing this module (and ``alpha_lab``) loads numpy and scipy.special
-only: Gaussian tails use ``scipy.special.ndtr``, which is what
-``scipy.stats.norm`` computes them with.  ``scipy.optimize`` is imported
-by the unequal-covariance fallback of ``bayes_direction`` and
-``scipy.stats`` by the grid integration of ``bayes_risk``, each on first use.
+Importing this module loads numpy only; ``scipy.special`` on first use by
+``gaussian_linear_error``, ``scipy.optimize`` by the fallback of
+``bayes_direction`` and ``scipy.stats`` by the grid of ``bayes_risk``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .util import seeded_rng
 
@@ -236,6 +233,8 @@ def gaussian_linear_error(spec: GmmSpec, w, offset: float = 0.0) -> float:
     w = np.asarray(w, dtype=float)
     if not np.any(w != 0.0):
         raise ValueError("direction must be nonzero")
+    from scipy.special import ndtr
+
     err = 0.0
     for prior, mean, cov, label in (
         (spec.prior_minus, spec.mean_minus, spec.cov_minus, -1),

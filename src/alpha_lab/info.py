@@ -18,7 +18,6 @@ enumeration oracle kept deliberately independent of the closed forms.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import entr, logsumexp
 
 from .losses import as_pmf, canon_alpha, inverse_sigmoid
 
@@ -44,6 +43,8 @@ def _row_risks(q: np.ndarray, alpha: float) -> np.ndarray:
     terms all share one sign, so nothing cancels near alpha = 1; beyond,
     logsumexp keeps large alpha finite.
     """
+    from scipy.special import entr, logsumexp
+
     if alpha == 1.0:
         return entr(q).sum(axis=-1)
     if np.isinf(alpha):

@@ -7,8 +7,12 @@ margin-loss (and its two derivatives), pointwise risk, gradient and
 Hessian, 1/alpha-Lipschitz constants, ball-sampler, population-risk and
 Gaussian-error forms, sharing no code path with the library formulas
 they check.  The mpmath references evaluate the same
-quantities at 60 significant digits and round once to float64.
+quantities at 60 significant digits and round once to float64;
+``mp_exact`` returns such a value unrounded.
 """
+
+import functools
+import math
 
 import mpmath
 import numpy as np
@@ -457,6 +461,7 @@ def seed_gaussian_linear_error(spec, w, offset=0.0):
 
 def _mp_float(fn):
     """``fn`` evaluated on mpf arguments at MP_DPS digits, rounded to a float."""
+    @functools.wraps(fn)
     def wrapped(*args):
         with mpmath.workdps(MP_DPS):
             return float(fn(*(mpmath.mpf(v) for v in args)))
@@ -509,6 +514,35 @@ def mp_margin_loss_second_derivative(alpha, z):
     """|F1| * (sigmoid(z) - (1 - 1/alpha) * sigmoid(-z))."""
     g, gm = 1 / (1 + mpmath.exp(-z)), 1 / (1 + mpmath.exp(z))
     return _mp_f1(alpha, z) * (g - (1 - _mp_beta(alpha)) * gm)
+
+
+@_mp_float
+def mp_margin_lipschitz_constant(alpha, r0):
+    """sup of |l'| over [-r0, r0].  |l'| = sigmoid(z)^(1 - 1/alpha) * sigmoid(-z)
+    rises up to its mode log(1 - 1/alpha) (alpha > 1 only) and falls after it,
+    so the sup is the larger of its values at -r0 and at an interior mode."""
+    mode = mpmath.log1p(-_mp_beta(alpha)) if alpha > 1 else -mpmath.inf
+    return max(_mp_f1(alpha, z) for z in (-r0, mode) if z >= -r0)
+
+
+def mp_exact(fn, *args):
+    """The value of an ``_mp_float`` function at MP_DPS digits, not rounded."""
+    with mpmath.workdps(MP_DPS):
+        return fn.__wrapped__(*(mpmath.mpf(v) for v in args))
+
+
+def meets_mp_bound(got, truth, rtol):
+    """``got`` is within ``rtol`` of the unrounded mpmath value ``truth``.
+
+    An infinite ``got`` is right only where |truth| exceeds the largest
+    double, with the same sign; where |truth| is below the normal range,
+    up to TINY absolute passes.
+    """
+    with mpmath.workdps(MP_DPS):
+        if math.isinf(got):
+            return abs(truth) > np.finfo(float).max and (got > 0) == (truth > 0)
+        err = abs(mpmath.mpf(got) - truth)
+        return bool(err <= rtol * abs(truth) or (abs(truth) < TINY and err <= TINY))
 
 
 def within_ulps(got, truth, ulps=4):

@@ -68,31 +68,57 @@ def test_tilt_binomial(tmp_path):
 COLD_START = """
 import json, sys
 import alpha_lab, alpha_lab.cli
-loaded = lambda: sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize")))
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+main = alpha_lab.cli.main
 at_import = loaded()
+gmm, out = sys.argv[1], sys.argv[2]
+with open(out + ".json", "w") as fh:
+    json.dump({"alpha": 1, "r": 1, "d": 2, "n": 100, "delta": 0.2}, fh)
+runs = [
+    ["synth", "--scenario", "clean", "--alphas", "1", "--runs", "1"],
+    ["slqc-audit", "--gmm", gmm, "--targets", "1.5", "--samples", "8", "--n", "100",
+     "--radius", "0.2"],
+    ["landscape", "--gmm", gmm, "--alpha", "1", "--grid", "5", "--n", "100"],
+    ["bounds", "--query", out + ".json", "--gmm", gmm, "--trials", "1", "--pop-samples", "1000"],
+]
+rcs = [main(args + ["--out", f"{out}.{k}"]) for k, args in enumerate(runs)]
+after_runs = loaded()
+rcs.append(main(["trend", "--gmm", gmm, "--ns", "200", "--runs", "1", "--out", out]))
+after_trend = loaded()
+with open(out + ".pmf", "w") as fh:
+    fh.write("0.2 0.3 0.5")
+rcs.append(main(["tilt", "--pmf", out + ".pmf", "--alphas", "1", "--out", out]))
+after_tilt = loaded()
 skewed = alpha_lab.GmmSpec(0.12, (-0.18, 1.49), (-0.01, 0.16),
                            [[3.20, -2.02], [-2.02, 2.71]], [[4.19, 1.27], [1.27, 0.90]])
 w, b = alpha_lab.bayes_direction(skewed)
 after_fallback = loaded()
-rc = alpha_lab.cli.main(["tilt", "--pmf", "binomial:6,0.3", "--alphas", "2", "--out", sys.argv[1]])
-print(json.dumps({"at_import": at_import, "after_fallback": after_fallback, "rc": rc,
-                  "after_tilt": loaded(), "w": w.tolist(), "b": b}))
+rcs.append(main(["tilt", "--pmf", "binomial:6,0.3", "--alphas", "2", "--out", out]))
+print(json.dumps({"at_import": at_import, "after_runs": after_runs, "after_trend": after_trend,
+                  "after_tilt": after_tilt, "after_fallback": after_fallback, "rcs": rcs,
+                  "after_binomial": loaded(), "w": w.tolist(), "b": b}))
 """
 
 
-def test_import_loads_no_scipy_stats_or_optimize(tmp_path):
+def test_import_loads_no_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(alpha_lab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = tmp_path / "tilt.csv"
-    proc = subprocess.run([sys.executable, "-c", COLD_START, str(out)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-c", COLD_START, write_gmm(tmp_path), str(out)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(proc.stdout)
-    assert got["at_import"] == []
+    assert got["rcs"] == [0] * 7
+    # the import, and synth, slqc-audit, landscape and bounds, load no scipy module
+    assert got["at_import"] == [] and got["after_runs"] == []
+    # trend's Gaussian tails load scipy.special and not scipy.stats or
+    # scipy.optimize; a tilt of a pmf file loads nothing more
+    assert "scipy.special" in got["after_trend"] and got["after_tilt"] == got["after_trend"]
+    assert not any(m.startswith(("scipy.stats", "scipy.optimize")) for m in got["after_tilt"])
     # the lazy imports still work: the unequal-covariance fallback loads
     # scipy.optimize (and not scipy.stats), a binomial tilt loads scipy.stats
     assert "scipy.optimize" in got["after_fallback"]
     assert not any(m.startswith("scipy.stats") for m in got["after_fallback"])
-    assert got["rc"] == 0 and "scipy.stats" in got["after_tilt"]
+    assert "scipy.stats" in got["after_binomial"]
     _, _, rows = read_csv(out)
     assert len(rows) == 7
     w, b = alpha_lab.bayes_direction(GmmSpec(

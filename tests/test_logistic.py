@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alpha_lab.datasets import GmmSpec, sample_gmm
@@ -29,6 +29,9 @@ from oracles import (
     agrees_with_frozen,
     central_diff_grad,
     central_diff_hessian,
+    meets_mp_bound,
+    mp_exact,
+    mp_margin_loss_second_derivative,
     seed_alpha_lipschitz_gradient,
     seed_alpha_lipschitz_risk,
     seed_empirical_alpha_risk,
@@ -182,6 +185,19 @@ def test_strong_convexity_modulus_values():
     assert strong_convexity_modulus(0.3, 1.0) > strong_convexity_modulus(0.9, 1.0)
     with pytest.raises(ValueError):
         strong_convexity_modulus(1.5, 1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(alpha=st.sampled_from([1.0 - 2e-9, 1.0 - 1e-7, 0.3]), s=st.floats(1e-3, 800.0))
+@example(alpha=0.3, s=800.0)
+@example(alpha=1.0 - 2e-9, s=1e-3)
+def test_strong_convexity_modulus_matches_mpmath(alpha, s):
+    # F2 at the largest margin, within the conditioning of exp there;
+    # small_radius_modulus is left out: its bracket cancels near the
+    # admissible alpha
+    truth = mp_exact(mp_margin_loss_second_derivative, alpha, s)
+    got = strong_convexity_modulus(alpha, s)
+    assert meets_mp_bound(got, truth, 4.0 * np.finfo(float).eps * max(1.0, s)), (got, truth)
 
 
 def test_strong_convexity_witness():

@@ -26,8 +26,11 @@ from alpha_lab.losses import (
 from oracles import (
     agrees_with_frozen,
     mc_slope_sup,
+    meets_mp_bound,
+    mp_exact,
     mp_log_sigmoid,
     mp_margin_alpha_loss,
+    mp_margin_lipschitz_constant,
     mp_margin_loss_derivative,
     mp_margin_loss_second_derivative,
     mp_sigmoid,
@@ -304,6 +307,29 @@ def test_margin_lipschitz_dominates_monte_carlo_slopes(alpha):
         assert sup <= margin_lipschitz_constant(alpha, r0) + 1e-12
 
 
+CONSTANT_ALPHAS = [1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-7, 1.0 - 1e-7, 0.3, 8.0, 1e6, np.inf]
+
+
+def constant_rtol(r0):
+    # the conditioning of exp at the endpoint: a rounding of the exponent,
+    # which is about r0 in size, moves the result by eps * r0 relative
+    return 4.0 * np.finfo(float).eps * max(1.0, r0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(alpha=st.sampled_from(CONSTANT_ALPHAS), r0=st.floats(1e-3, 800.0))
+@example(alpha=0.3, r0=800.0)
+@example(alpha=1.0 + 2e-9, r0=800.0)
+@example(alpha=8.0, r0=1e-3)
+def test_loss_constants_match_mpmath(alpha, r0):
+    # the sup of |l'| on [-r0, r0] and of l at -r0; inf only beyond DBL_MAX
+    for got, truth in (
+        (margin_lipschitz_constant(alpha, r0), mp_exact(mp_margin_lipschitz_constant, alpha, r0)),
+        (loss_sup_bound(alpha, r0), mp_exact(mp_margin_alpha_loss, alpha, -r0)),
+    ):
+        assert meets_mp_bound(got, truth, constant_rtol(r0)), (got, truth)
+
+
 def test_margin_lipschitz_overflow_is_inf_without_warning():
     # |F1(-700)| at alpha = 0.1 is about e^6300, beyond DBL_MAX
     with warnings.catch_warnings():
@@ -357,7 +383,7 @@ def test_one_lattice_builder_in_training():
 
 def test_one_implementation_of_the_minimal_risk():
     # the alpha-norm is computed once, in info._row_risks: logsumexp is
-    # named nowhere else but info's import, and the enumeration oracle
+    # named only there, where it is imported, and the enumeration oracle
     # stays independent of the closed forms and the loss kernels
     for path in sorted(LIBRARY.glob("*.py")):
         tree = ast.parse(path.read_text())
