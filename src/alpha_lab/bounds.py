@@ -10,7 +10,10 @@ A companion bound controls the uniform discrepancy between the empirical
 risk at finite alpha >= 1 and the population risk at alpha = inf, with a
 saturation term (log sigmoid(-r sqrt(d)))^2 / (2 alpha) that vanishes as
 alpha grows.  Population risks are Monte-Carlo estimates; audits subtract
-three standard errors from the measured side before comparing.
+three standard errors from the measured side before comparing.  The pool
+is drawn in chunks of ``POP_CHUNK`` samples, each from its own seed, so
+the draws depend on that size; each chunk is evaluated in row blocks
+that fit in cache.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import logistic
 from .datasets import GmmSpec, bayes_risk, gaussian_linear_error, sample_gmm
-from .losses import canon_alpha, loss_sup_bound, margin_alpha_losses, margin_lipschitz_constant
+from .losses import canon_alpha, loss_sup_bound, margin_lipschitz_constant
 from .training import TrainConfig, _batched_gd
 from .slqc import sample_audit_points
 from .util import sigmoid, softplus
@@ -32,7 +35,10 @@ _STREAM_THETA = 702
 _STREAM_TRIAL = 703
 _STREAM_TREND = 704
 
-POP_CHUNK = 50_000  # population samples drawn per Monte-Carlo chunk
+# Population samples per Monte-Carlo chunk.  A chunk is the unit of the
+# random draw (each has its own seed), so the draws depend on this value;
+# evaluation runs in smaller row blocks inside each chunk.
+POP_CHUNK = 50_000
 
 
 @dataclass(frozen=True)
@@ -81,29 +87,21 @@ def uniform_discrepancy_bound(q: BoundQuery) -> float:
 def _population_risks(thetas: np.ndarray, spec: GmmSpec, alphas, pop_n: int, seed):
     """Chunked Monte-Carlo population risks and their standard errors.
 
-    Rows index ``alphas`` and columns index ``thetas``.  Each chunk of
-    ``POP_CHUNK`` pool samples is drawn once, and its margins and their
-    softplus are computed once for every alpha.
+    Rows index ``alphas`` and columns index ``thetas``.  The pool is drawn
+    in chunks of ``POP_CHUNK`` samples, chunk b from seed ``(*seed, b)``,
+    so the draws depend on ``POP_CHUNK``.  Each chunk's loss sums and
+    sums of squares come from one ``logistic._loss_sums`` pass, which
+    evaluates the chunk in cache-sized row blocks, with the margins and
+    their softplus computed once for every alpha.
     """
-    total = np.zeros((len(alphas), thetas.shape[0]))
-    total_sq = np.zeros_like(total)
-    seen = 0
-    block = 0
-    while seen < pop_n:
-        k = min(POP_CHUNK, pop_n - seen)
-        pool = sample_gmm(spec, k, seed=(*seed, block), normalize=True)
-        Z = pool.X @ thetas.T
-        np.multiply(Z, pool.y[:, None], out=Z)
-        buf = np.empty_like(Z)
-        for i, vals in enumerate(margin_alpha_losses(alphas, Z, out=buf)):
-            total[i] += vals.sum(axis=0)
-            total_sq[i] += np.square(vals, out=buf).sum(axis=0)
-        del Z, buf  # freed before the next chunk allocates its own
-        seen += k
-        block += 1
-    mean = total / seen
-    var = np.maximum(total_sq / seen - mean**2, 0.0)
-    se = np.sqrt(var / seen)
+    totals = np.zeros((2, len(alphas), thetas.shape[0]))
+    for block, start in enumerate(range(0, pop_n, POP_CHUNK)):
+        pool = sample_gmm(spec, min(POP_CHUNK, pop_n - start), seed=(*seed, block), normalize=True)
+        totals += logistic._loss_sums(thetas, pool.X, pool.y, alphas, squares=True)
+    total, total_sq = totals
+    mean = total / pop_n
+    var = np.maximum(total_sq / pop_n - mean**2, 0.0)
+    se = np.sqrt(var / pop_n)
     return mean, se
 
 

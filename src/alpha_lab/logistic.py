@@ -38,6 +38,10 @@ from .losses import (
 from .util import sigmoid, softplus
 
 BALL_SLACK = 1e-9
+# Margins (samples x parameter rows) per block of a loss-sum pass, and per
+# batched risk-oracle call.  Each float64 temporary of a block is 256 KB,
+# so the few alive at once stay in a 2 MB L2 cache.
+BLOCK_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -149,18 +153,59 @@ def risk_gradient_batch(thetas, data, alpha) -> np.ndarray:
     return risk_gradients(thetas, data, [alpha])[0]
 
 
+def _sum_rows(stack: np.ndarray, b: int, first: bool, into: np.ndarray) -> None:
+    """Column sums of ``stack[1:b + 1]`` added to the running sums ``into``,
+    by way of the carry row ``stack[0]``."""
+    if first:
+        np.add.reduce(stack[1:b + 1], axis=0, out=into)
+    else:
+        stack[0] = into
+        np.add.reduce(stack[:b + 1], axis=0, out=into)
+
+
+def _loss_sums(thetas: np.ndarray, X: np.ndarray, y: np.ndarray, alphas, squares=False):
+    """Sums over the samples of the margin losses, per tuning value and parameter row.
+
+    Returns shape (1, len(alphas), len(thetas)), or (2, ...) with the sums
+    of squared losses when ``squares``.  The margins come from one matmul
+    (the BLAS may round a row block of a product differently from the
+    whole); signs, losses and sums run in row blocks of about
+    BLOCK_ELEMENTS margins that stay in cache.  numpy adds the rows of a
+    C-contiguous matrix of two or more columns in order, so summing each
+    block below a carry row of the running sums gives the bits of one
+    ``sum(axis=0)``; one column is summed pairwise and stays one block.
+    """
+    n, m = X.shape[0], thetas.shape[0]
+    rows = n if m < 2 else min(n, max(1, BLOCK_ELEMENTS // m))
+    Z = X @ thetas.T
+    stack, sp_stack = np.empty((rows + 1, m)), np.empty((rows + 1, m))
+    sums = np.empty((1 + bool(squares), len(alphas), m))
+    for start in range(0, n, rows):
+        b = min(rows, n - start)
+        z = Z[start:start + b]
+        z *= y[start:start + b, None]
+        body, sp = stack[1:b + 1], sp_stack[1:b + 1]
+        for k, vals in enumerate(margin_alpha_losses(alphas, z, out=body, sp_out=sp)):
+            # the alpha = 1 losses are the softplus buffer itself
+            _sum_rows(sp_stack if vals is sp else stack, b, start == 0, sums[0, k])
+            if squares:
+                np.square(vals, out=body)
+                _sum_rows(stack, b, start == 0, sums[1, k])
+    return sums
+
+
 def risks(thetas, data, alphas) -> np.ndarray:
     """Empirical risks at many parameter vectors for each of several tuning values.
 
-    Returns shape (len(alphas), len(thetas)).  The margins and their
-    softplus do not depend on alpha, so they are computed once.
+    Returns shape (len(alphas), len(thetas)): the ``_loss_sums`` over n,
+    with the bits of ``np.mean`` over the whole margin matrix.  The
+    margins and their softplus do not depend on alpha, so they are
+    computed once per block.
     """
     X, y = _as_xy(data)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    out = np.empty((len(alphas), thetas.shape[0]))
-    for k, vals in enumerate(margin_alpha_losses(alphas, _margin_matrix(thetas, X, y))):
-        np.mean(vals, axis=0, out=out[k])
-    return out
+    (sums,) = _loss_sums(thetas, X, y, alphas)
+    return np.divide(sums, X.shape[0], out=sums)
 
 
 def risk_batch(thetas, data, alpha) -> np.ndarray:
@@ -225,7 +270,10 @@ def small_radius_modulus(alpha, r_sqrt_d: float) -> float:
         raise ValueError(
             f"outside the small-radius regime: alpha={a} exceeds admissible bound {limit:.6f}"
         )
-    return float(sigmoid(-s) ** (3.0 - 1.0 / a) * (1.0 - np.exp(s) + np.exp(-s) / a))
+    # 1 - e^s + e^{-s}/alpha, written so that it does not cancel as alpha
+    # nears the limit 1/(e^s * expm1(s)), where it is zero
+    bracket = np.exp(-s) * (1.0 / a - np.exp(s) * np.expm1(s))
+    return float(sigmoid(-s) ** (3.0 - 1.0 / a) * bracket)
 
 
 def theta_lipschitz_constant(alpha, r: float, d: int) -> float:

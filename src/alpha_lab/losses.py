@@ -106,14 +106,15 @@ def _loss_from_softplus(alpha: float, sp, out):
         return np.multiply(alpha / (alpha - 1.0), t, out=t)
 
 
-def margin_alpha_losses(alphas, z, out=None):
+def margin_alpha_losses(alphas, z, out=None, sp_out=None):
     """Margin losses of ``z`` at each of several tuning values, in order.
 
-    ``softplus(-z)`` is computed once, and only when some alpha is
-    finite; alpha = inf is ``sigmoid(-z)``.  Every yielded array is either
-    that softplus (alpha = 1, which the caller must not modify) or
-    ``out`` (allocated when None), so each is valid only until the next
-    one is requested, and ``out`` is free scratch once a value is read.
+    ``softplus(-z)`` is computed once, into ``sp_out`` when given, and
+    only when some alpha is finite; alpha = inf is ``sigmoid(-z)``.  Every
+    yielded array is either that softplus (alpha = 1, which the caller
+    must not modify) or ``out`` (allocated when None), so each is valid
+    only until the next one is requested, and ``out`` is free scratch
+    once a value is read.
     """
     alphas = [canon_alpha(a) for a in alphas]
     z = np.asarray(z, dtype=float)
@@ -121,7 +122,7 @@ def margin_alpha_losses(alphas, z, out=None):
         out = np.empty_like(z)
     sp = None
     if not all(math.isinf(a) for a in alphas):
-        sp = softplus(np.negative(z, out=out))
+        sp = softplus(np.negative(z, out=out), out=sp_out)
     for a in alphas:
         if math.isinf(a):
             yield util.sigmoid(np.negative(z, out=out), out=out)

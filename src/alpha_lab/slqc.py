@@ -35,10 +35,6 @@ from . import logistic
 from .util import derive_rng, seeded_rng
 
 GRAD_EPS = 1e-12  # "nonzero gradient" threshold against float noise
-# Margins (theta rows x samples) per batched risk-oracle call.  Each float64
-# temporary of a block is 256 KB, so the few alive at once stay in a 2 MB L2
-# cache, and a large sweep's memory does not grow with its point count.
-AUDIT_BLOCK_ELEMENTS = 32_768
 
 
 class Verdict(Enum):
@@ -419,12 +415,13 @@ def risk_oracle(data, alpha, validate: bool = True) -> OracleFunction:
     """Empirical-risk oracle over the dataset at a fixed tuning value.
 
     Its evaluators process theta in blocks of at most
-    ``AUDIT_BLOCK_ELEMENTS`` margins.  A one-row call is the ``risks`` or
+    ``logistic.BLOCK_ELEMENTS`` margins, so a large sweep's memory does
+    not grow with its point count.  A one-row call is the ``risks`` or
     ``risk_gradients`` call of ``empirical_alpha_risk`` or
     ``risk_gradient``, so ``value`` and ``grad`` return their bits.
     """
     X, y = logistic._as_xy(data)
-    rows = max(1, AUDIT_BLOCK_ELEMENTS // X.shape[0])
+    rows = max(1, logistic.BLOCK_ELEMENTS // X.shape[0])
     return OracleFunction(
         lambda thetas: _in_blocks(logistic.risk_batch, thetas, rows, (X, y), alpha),
         lambda thetas: _in_blocks(logistic.risk_gradient_batch, thetas, rows, (X, y), alpha),

@@ -525,6 +525,19 @@ def mp_margin_lipschitz_constant(alpha, r0):
     return max(_mp_f1(alpha, z) for z in (-r0, mode) if z >= -r0)
 
 
+@_mp_float
+def mp_small_radius_admissible_alpha(s):
+    """1 / (e^{2s} - e^s): the largest alpha the small-radius modulus covers."""
+    return 1 / (mpmath.exp(2 * s) - mpmath.exp(s))
+
+
+@_mp_float
+def mp_small_radius_modulus(alpha, s):
+    """sigmoid(-s)^(3 - 1/alpha) * (1 - e^s + e^{-s}/alpha)."""
+    return (1 / (1 + mpmath.exp(s))) ** (3 - 1 / alpha) * (
+        1 - mpmath.exp(s) + mpmath.exp(-s) / alpha)
+
+
 def mp_exact(fn, *args):
     """The value of an ``_mp_float`` function at MP_DPS digits, not rounded."""
     with mpmath.workdps(MP_DPS):

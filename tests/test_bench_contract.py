@@ -61,6 +61,23 @@ def test_trace_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
 
 
+def test_positional_reads_name_the_traced_parameter():
+    # _arg(a, k, i, "name") reads argument i, or the keyword "name" when the
+    # call passed it by name: both must be the same parameter
+    reads = 0
+    for target in (t for t in ast.walk(assigned("TRACE_TARGETS")) if isinstance(t, ast.Tuple)):
+        module, attr = (e.value if isinstance(e, ast.Constant) else None for e in target.elts[:2])
+        if not isinstance(module, str):
+            continue
+        params = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
+        for call in ast.walk(target):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                i, name = (a.value for a in call.args[2:])
+                assert params[i] == name, (module, attr, i, name, params)
+                reads += 1
+    assert reads >= 8
+
+
 def test_probe_kernels_resolve():
     node = assigned("PROBE_KERNELS")
     kernels = [(m, f) for _, m, f, _ in (t for t in constant_tuples(node) if len(t) == 4) if f]

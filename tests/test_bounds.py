@@ -13,7 +13,7 @@ from alpha_lab.bounds import (
     uniform_discrepancy_bound,
 )
 from alpha_lab.datasets import GmmSpec, bayes_risk, sample_gmm
-from alpha_lab.losses import margin_lipschitz_constant, loss_sup_bound
+from alpha_lab.losses import loss_sup_bound, margin_alpha_losses, margin_lipschitz_constant
 from alpha_lab.util import softplus
 
 from oracles import (
@@ -118,6 +118,44 @@ def test_population_risks_bit_identical_to_seed_form():
     # an alpha = inf-only pass skips the softplus and agrees bit for bit
     mean_inf, se_inf = bounds._population_risks(thetas, SYMMETRIC, [np.inf], 120_001, seed)
     assert np.array_equal(mean_inf, mean[[4]]) and np.array_equal(se_inf, se[[4]])
+
+
+def _unblocked_population_risks(thetas, spec, alphas, pop_n, seed):
+    """The population pass before row blocks: per chunk, one margin matrix
+    and one loss matrix per alpha, each summed over the whole chunk."""
+    total = np.zeros((len(alphas), thetas.shape[0]))
+    total_sq = np.zeros_like(total)
+    seen = 0
+    block = 0
+    while seen < pop_n:
+        k = min(bounds.POP_CHUNK, pop_n - seen)
+        pool = sample_gmm(spec, k, seed=(*seed, block), normalize=True)
+        Z = pool.X @ thetas.T
+        np.multiply(Z, pool.y[:, None], out=Z)
+        buf = np.empty_like(Z)
+        for i, vals in enumerate(margin_alpha_losses(alphas, Z, out=buf)):
+            total[i] += vals.sum(axis=0)
+            total_sq[i] += np.square(vals, out=buf).sum(axis=0)
+        seen += k
+        block += 1
+    mean = total / seen
+    var = np.maximum(total_sq / seen - mean**2, 0.0)
+    return mean, np.sqrt(var / seen)
+
+
+@pytest.mark.parametrize("m, d", [(1, 2), (2, 2), (100, 2), (37, 5)])
+def test_population_risks_bit_identical_to_unblocked_pass(m, d):
+    # 60,001 draws: a full chunk and a ragged one; the row blocks and the
+    # carry rows of the loss sums change no bit of the means or the errors
+    spec = SYMMETRIC if d == 2 else GmmSpec(0.4, -0.3 * np.ones(d), 0.5 * np.ones(d),
+                                            np.eye(d), 2.0 * np.eye(d))
+    thetas = seed_ball_points(d, 1.0, m, (4, 6))
+    seed = (4, bounds._STREAM_POP)
+    alphas = [0.65, 1.0, 4.0, np.inf, 1.0]
+    got = bounds._population_risks(thetas, spec, alphas, 60_001, seed)
+    ref = _unblocked_population_risks(thetas, spec, alphas, 60_001, seed)
+    for g, r in zip(got, ref):
+        assert g.shape == (len(alphas), m) and g.tobytes() == r.tobytes()
 
 
 def _seed_audit(query, pop_alpha, trials, n_theta, pop_n, seed):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from alpha_lab.datasets import GmmSpec, sample_gmm
 from alpha_lab.logistic import (
+    BLOCK_ELEMENTS,
     ParamVector,
+    _loss_sums,
     alpha_lipschitz_gradient,
     alpha_lipschitz_risk,
     empirical_alpha_risk,
@@ -23,7 +25,13 @@ from alpha_lab.logistic import (
     strong_convexity_modulus,
     theta_lipschitz_constant,
 )
-from alpha_lab.losses import canon_alpha, margin_alpha_loss, margin_loss_second_derivative, sigmoid
+from alpha_lab.losses import (
+    canon_alpha,
+    margin_alpha_loss,
+    margin_alpha_losses,
+    margin_loss_second_derivative,
+    sigmoid,
+)
 
 from oracles import (
     agrees_with_frozen,
@@ -32,6 +40,8 @@ from oracles import (
     meets_mp_bound,
     mp_exact,
     mp_margin_loss_second_derivative,
+    mp_small_radius_admissible_alpha,
+    mp_small_radius_modulus,
     seed_alpha_lipschitz_gradient,
     seed_alpha_lipschitz_risk,
     seed_empirical_alpha_risk,
@@ -192,12 +202,29 @@ def test_strong_convexity_modulus_values():
 @example(alpha=0.3, s=800.0)
 @example(alpha=1.0 - 2e-9, s=1e-3)
 def test_strong_convexity_modulus_matches_mpmath(alpha, s):
-    # F2 at the largest margin, within the conditioning of exp there;
-    # small_radius_modulus is left out: its bracket cancels near the
-    # admissible alpha
+    # F2 at the largest margin, within the conditioning of exp there
     truth = mp_exact(mp_margin_loss_second_derivative, alpha, s)
     got = strong_convexity_modulus(alpha, s)
     assert meets_mp_bound(got, truth, 4.0 * np.finfo(float).eps * max(1.0, s)), (got, truth)
+
+
+@settings(max_examples=120, deadline=None)
+@given(s=st.floats(1e-3, 0.48), ratio=st.floats(0.5, 1.0 - 1e-9))
+@example(s=0.01, ratio=1.0 - 1e-9)
+@example(s=0.1, ratio=1.0 - 1e-9)
+@example(s=0.4, ratio=1.0 - 1e-6)
+@example(s=0.48, ratio=0.9)
+@example(s=0.3, ratio=0.5)
+def test_small_radius_modulus_matches_mpmath(s, ratio):
+    # the bracket 1 - e^s + e^{-s}/alpha vanishes at the admissible limit
+    # alpha*, so its relative error grows like 1/(1 - alpha/alpha*), and no
+    # faster: it is computed without cancelling
+    limit = mp_small_radius_admissible_alpha(s)
+    alpha = canon_alpha(ratio * limit)
+    truth = mp_exact(mp_small_radius_modulus, alpha, s)
+    rtol = 4.0 * np.finfo(float).eps / (1.0 - alpha / limit)
+    got = small_radius_modulus(alpha, s)
+    assert meets_mp_bound(got, truth, rtol), (got, truth)
 
 
 def test_strong_convexity_witness():
@@ -378,6 +405,38 @@ def test_risks_match_per_alpha_losses():
             assert np.array_equal(together[k], ref)
             assert np.array_equal(risk_batch(thetas, data, alpha), ref)
     assert np.array_equal(risks(thetas, data, [np.inf]), together[[4]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([1, 2, 3, 65, 2601]),
+    d=st.integers(1, 5),
+    blocks=st.integers(1, 3),
+    extra=st.floats(0.01, 0.99),
+    scale=st.floats(0.0, 40.0),
+    alphas=st.lists(st.sampled_from([0.5, 1.0, 4.0, np.inf]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_risks_bit_identical_to_mean_over_full_margin_matrix(
+    m, d, blocks, extra, scale, alphas, seed
+):
+    # sums taken in row blocks, each block below a carry row of the
+    # running sums, have the bits of one mean over the whole loss matrix;
+    # n is not a multiple of the block rows, and the alpha = 1 losses are
+    # summed in the softplus buffer rather than in ``out``
+    rows = BLOCK_ELEMENTS // m
+    n = blocks * rows + max(1, int(extra * rows))
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    thetas = scale * rng.uniform(-1.0, 1.0, size=(m, d))
+    Z = (X @ thetas.T) * y[:, None]
+    got = risks(thetas, (X, y), alphas)
+    sums, squares = _loss_sums(thetas, X, y, alphas, squares=True)
+    for k, vals in enumerate(margin_alpha_losses(alphas, Z)):
+        assert same_bits(got[k], np.mean(vals, axis=0))
+        assert same_bits(sums[k], vals.sum(axis=0))
+        assert same_bits(squares[k], np.square(vals).sum(axis=0))
 
 
 def test_factored_curvature_weight_forms_agree():

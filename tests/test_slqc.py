@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from alpha_lab.datasets import GmmSpec, sample_gmm
 from alpha_lab.logistic import (
+    BLOCK_ELEMENTS,
     alpha_lipschitz_gradient,
     alpha_lipschitz_risk,
     empirical_alpha_risk,
@@ -12,7 +13,6 @@ from alpha_lab.logistic import (
     theta_lipschitz_constant,
 )
 from alpha_lab.slqc import (
-    AUDIT_BLOCK_ELEMENTS,
     NgdConfig,
     OracleFunction,
     RangeExceeded,
@@ -337,7 +337,7 @@ def test_end_to_end_evolution_recheck():
 
 
 AUDIT_DATA = sample_gmm(GmmSpec.symmetric(), 500, seed=41, normalize=True)
-AUDIT_BLOCK = AUDIT_BLOCK_ELEMENTS // AUDIT_DATA.n
+AUDIT_BLOCK = BLOCK_ELEMENTS // AUDIT_DATA.n
 
 
 @settings(max_examples=40, deadline=None)
