@@ -38,9 +38,12 @@ from .losses import (
 from .util import sigmoid, softplus
 
 BALL_SLACK = 1e-9
-# Margins (samples x parameter rows) per block of a loss-sum pass, and per
-# batched risk-oracle call.  Each float64 temporary of a block is 256 KB,
-# so the few alive at once stay in a 2 MB L2 cache.
+# Margins (samples x parameter rows) per block of a risk or gradient pass.
+# Each float64 temporary of a block is 256 KB, so the few alive at once
+# stay in a 2 MB L2 cache.  A block's products take rows * m * d <=
+# 32,768 * d multiply-adds, under OpenBLAS's one-thread gemm cutoff of
+# 65,536 * 4 for d <= 8, so no product reaches the BLAS thread pool and
+# the bits do not depend on the thread count.
 BLOCK_ELEMENTS = 32_768
 
 
@@ -109,13 +112,6 @@ def soft_classifier(theta, x):
     return out
 
 
-def _margin_matrix(thetas: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Margins y_i <theta_j, x_i> as an (n, m) matrix, signed in place."""
-    Z = X @ thetas.T
-    Z *= y[:, None]
-    return Z
-
-
 def empirical_alpha_risk(theta, data, alpha) -> float:
     """Mean loss over the sample: one row of ``risks``."""
     return float(risks(_as_theta(theta), data, [alpha])[0, 0])
@@ -129,23 +125,29 @@ def risk_gradient(theta, data, alpha) -> np.ndarray:
 def risk_gradients(thetas, data, alphas) -> np.ndarray:
     """Gradients at many parameter vectors for each of several tuning values.
 
-    Returns shape (len(alphas), len(thetas), d).  The log-sigmoid pair of
-    the margins does not depend on alpha, so it is computed once; only the
-    weight exponent and the matmul run per alpha, with the weights of
-    every alpha written into one buffer.
+    Returns shape (len(alphas), len(thetas), d).  The samples run in row
+    blocks of about BLOCK_ELEMENTS margins, in buffers allocated once per
+    call: per block one margin product and one log-sigmoid pair, which do
+    not depend on alpha, then per alpha the weights F1_b and one product
+    F1_b^T X_b added to that alpha's running sums, divided by n at the end.
     """
     alphas = [canon_alpha(a) for a in alphas]
     X, y = _as_xy(data)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    lp, lm = _log_sigmoid_pair(_margin_matrix(thetas, X, y))
-    neg_y = -y[:, None]
-    F1 = np.empty_like(lp)
-    out = np.empty((len(alphas), thetas.shape[0], X.shape[1]))
-    for k, a in enumerate(alphas):
-        _grad_weights(a, lp, lm, out=F1)
-        F1 *= neg_y
-        np.divide((X.T @ F1).T, X.shape[0], out=out[k])
-    return out
+    (n, d), m = X.shape, thetas.shape[0]
+    rows = min(n, max(1, BLOCK_ELEMENTS // m))
+    z, lp, F1 = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
+    sums, part = np.zeros((len(alphas), m, d)), np.empty((m, d))
+    for start in range(0, n, rows):
+        Xb, yb = X[start:start + rows], y[start:start + rows, None]
+        zb = np.matmul(Xb, thetas.T, out=z[:len(Xb)])
+        zb *= yb
+        lpb, lmb = _log_sigmoid_pair(zb, lp[:len(Xb)], zb)
+        for k, a in enumerate(alphas):
+            f = _grad_weights(a, lpb, lmb, out=F1[:len(Xb)])
+            f *= yb
+            sums[k] -= np.matmul(f.T, Xb, out=part)
+    return np.divide(sums, n, out=sums)
 
 
 def risk_gradient_batch(thetas, data, alpha) -> np.ndarray:
@@ -167,22 +169,22 @@ def _loss_sums(thetas: np.ndarray, X: np.ndarray, y: np.ndarray, alphas, squares
     """Sums over the samples of the margin losses, per tuning value and parameter row.
 
     Returns shape (1, len(alphas), len(thetas)), or (2, ...) with the sums
-    of squared losses when ``squares``.  The margins come from one matmul
-    (the BLAS may round a row block of a product differently from the
-    whole); signs, losses and sums run in row blocks of about
-    BLOCK_ELEMENTS margins that stay in cache.  numpy adds the rows of a
-    C-contiguous matrix of two or more columns in order, so summing each
-    block below a carry row of the running sums gives the bits of one
-    ``sum(axis=0)``; one column is summed pairwise and stays one block.
+    of squared losses when ``squares``.  Margin products, signs, losses
+    (their softplus once for all alphas) and sums run in row blocks of
+    about BLOCK_ELEMENTS margins in reused buffers.  numpy adds the rows
+    of a C-contiguous matrix of two or more columns in order, so summing
+    each block below a carry row of the running sums gives the bits of
+    one ``sum(axis=0)`` of the stacked blocks; one column is summed
+    pairwise and stays one block.
     """
     n, m = X.shape[0], thetas.shape[0]
     rows = n if m < 2 else min(n, max(1, BLOCK_ELEMENTS // m))
-    Z = X @ thetas.T
+    zbuf = np.empty((rows, m))
     stack, sp_stack = np.empty((rows + 1, m)), np.empty((rows + 1, m))
     sums = np.empty((1 + bool(squares), len(alphas), m))
     for start in range(0, n, rows):
         b = min(rows, n - start)
-        z = Z[start:start + b]
+        z = np.matmul(X[start:start + b], thetas.T, out=zbuf[:b])
         z *= y[start:start + b, None]
         body, sp = stack[1:b + 1], sp_stack[1:b + 1]
         for k, vals in enumerate(margin_alpha_losses(alphas, z, out=body, sp_out=sp)):
@@ -198,9 +200,7 @@ def risks(thetas, data, alphas) -> np.ndarray:
     """Empirical risks at many parameter vectors for each of several tuning values.
 
     Returns shape (len(alphas), len(thetas)): the ``_loss_sums`` over n,
-    with the bits of ``np.mean`` over the whole margin matrix.  The
-    margins and their softplus do not depend on alpha, so they are
-    computed once per block.
+    with the bits of ``np.mean`` over the losses of the stacked block margins.
     """
     X, y = _as_xy(data)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -216,7 +216,8 @@ def risk_batch(thetas, data, alpha) -> np.ndarray:
 def risk_hessian(theta, data, alpha) -> np.ndarray:
     """Hessian of the empirical risk: mean of F2 * x x^T (symmetrized)."""
     X, y = _as_xy(data)
-    z = _margin_matrix(np.atleast_2d(_as_theta(theta)), X, y)[:, 0]
+    z = X @ _as_theta(theta)
+    z *= y
     f2 = margin_loss_second_derivative(alpha, z)
     H = (X * f2[:, None]).T @ X / X.shape[0]
     return 0.5 * (H + H.T)

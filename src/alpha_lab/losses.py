@@ -142,10 +142,11 @@ def margin_alpha_loss(alpha, z):
     return out
 
 
-def _log_sigmoid_pair(z):
-    """(log g(z), log g(-z)): the alpha-free part of the F1 and F2 weights."""
-    lm = np.empty_like(z)
-    return log_sigmoid(z), log_sigmoid(np.negative(z, out=lm), out=lm)
+def _log_sigmoid_pair(z, lp=None, lm=None):
+    """(log g(z), log g(-z)), the alpha-free part of the F1 and F2 weights, written
+    into ``lp`` and ``lm`` when given; ``lm`` may be ``z`` (taken after ``lp``)."""
+    lm = np.empty_like(z) if lm is None else lm
+    return log_sigmoid(z, out=lp), log_sigmoid(np.negative(z, out=lm), out=lm)
 
 
 def _grad_weights(alpha: float, lp, lm, out=None) -> np.ndarray:
@@ -263,4 +264,10 @@ def loss_sup_bound(alpha, r_sqrt_d: float) -> float:
     a = float(r_sqrt_d)
     if a <= 0.0:
         raise ValueError("r_sqrt_d must be positive")
-    return float(margin_alpha_loss(alpha, -a))
+    out, al = float(margin_alpha_loss(alpha, -a)), canon_alpha(alpha)
+    if math.isinf(out) and al < 1.0:
+        # -expm1(t) overflowed before the factor alpha/(1 - alpha) scaled it down
+        t = (1.0 - al) / al * float(softplus(a))
+        with np.errstate(over="ignore"):
+            return float(np.exp(t + math.log(al / (1.0 - al))))
+    return out

@@ -404,27 +404,17 @@ def audit_certificate(f: OracleFunction, cert: SlqcCertificate, thetas, max_work
     )
 
 
-def _in_blocks(fn, thetas: np.ndarray, rows: int, *args) -> np.ndarray:
-    """fn(block, *args) over consecutive row blocks of thetas, results stacked."""
-    if thetas.shape[0] <= rows:
-        return fn(thetas, *args)
-    return np.concatenate([fn(thetas[i:i + rows], *args) for i in range(0, thetas.shape[0], rows)])
-
-
 def risk_oracle(data, alpha, validate: bool = True) -> OracleFunction:
     """Empirical-risk oracle over the dataset at a fixed tuning value.
 
-    Its evaluators process theta in blocks of at most
-    ``logistic.BLOCK_ELEMENTS`` margins, so a large sweep's memory does
-    not grow with its point count.  A one-row call is the ``risks`` or
-    ``risk_gradients`` call of ``empirical_alpha_risk`` or
-    ``risk_gradient``, so ``value`` and ``grad`` return their bits.
+    Its evaluators call ``risk_batch`` and ``risk_gradient_batch`` on all
+    rows at once, and their sample blocks bound the memory; one-row calls
+    are those of ``empirical_alpha_risk`` and ``risk_gradient``, bit for bit.
     """
     X, y = logistic._as_xy(data)
-    rows = max(1, logistic.BLOCK_ELEMENTS // X.shape[0])
     return OracleFunction(
-        lambda thetas: _in_blocks(logistic.risk_batch, thetas, rows, (X, y), alpha),
-        lambda thetas: _in_blocks(logistic.risk_gradient_batch, thetas, rows, (X, y), alpha),
+        lambda thetas: logistic.risk_batch(thetas, (X, y), alpha),
+        lambda thetas: logistic.risk_gradient_batch(thetas, (X, y), alpha),
         X.shape[1],
         check_points=3 if validate else 0,
     )

@@ -407,6 +407,18 @@ def test_risks_match_per_alpha_losses():
     assert np.array_equal(risks(thetas, data, [np.inf]), together[[4]])
 
 
+def blocked_instance(m, d, blocks, extra, scale, seed):
+    # n is not a multiple of the block rows: ``blocks`` whole blocks and
+    # a part; one parameter row still gives blocks of BLOCK_ELEMENTS rows
+    rows = BLOCK_ELEMENTS // m
+    n = blocks * rows + max(1, int(extra * rows))
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    thetas = scale * rng.uniform(-1.0, 1.0, size=(m, d))
+    return rows, X, y, thetas
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.sampled_from([1, 2, 3, 65, 2601]),
@@ -417,26 +429,53 @@ def test_risks_match_per_alpha_losses():
     alphas=st.lists(st.sampled_from([0.5, 1.0, 4.0, np.inf]), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_risks_bit_identical_to_mean_over_full_margin_matrix(
+def test_risks_bit_identical_to_mean_over_stacked_block_margins(
     m, d, blocks, extra, scale, alphas, seed
 ):
     # sums taken in row blocks, each block below a carry row of the
-    # running sums, have the bits of one mean over the whole loss matrix;
-    # n is not a multiple of the block rows, and the alpha = 1 losses are
-    # summed in the softplus buffer rather than in ``out``
-    rows = BLOCK_ELEMENTS // m
-    n = blocks * rows + max(1, int(extra * rows))
-    rng = np.random.default_rng(seed)
-    X = rng.random((n, d))
-    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    thetas = scale * rng.uniform(-1.0, 1.0, size=(m, d))
-    Z = (X @ thetas.T) * y[:, None]
+    # running sums, have the bits of one mean over the losses of the
+    # stacked block margin products (the BLAS may round a block of a
+    # product differently from the whole, so the whole product agrees to
+    # FROZEN_RTOL only); one parameter row is summed pairwise in one
+    # block, and the alpha = 1 losses are summed in the softplus buffer
+    rows, X, y, thetas = blocked_instance(m, d, blocks, extra, scale, seed)
+    n = X.shape[0]
+    rows = n if m == 1 else rows
+    Z = np.concatenate([X[i:i + rows] @ thetas.T for i in range(0, n, rows)]) * y[:, None]
+    whole = (X @ thetas.T) * y[:, None]
     got = risks(thetas, (X, y), alphas)
     sums, squares = _loss_sums(thetas, X, y, alphas, squares=True)
     for k, vals in enumerate(margin_alpha_losses(alphas, Z)):
         assert same_bits(got[k], np.mean(vals, axis=0))
         assert same_bits(sums[k], vals.sum(axis=0))
         assert same_bits(squares[k], np.square(vals).sum(axis=0))
+    for k, alpha in enumerate(alphas):
+        assert agrees_with_frozen(got[k], margin_alpha_loss(alpha, whole).mean(axis=0)).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.sampled_from([1, 2, 3, 65, 2601]),
+    d=st.integers(1, 5),
+    blocks=st.integers(1, 3),
+    extra=st.floats(0.01, 0.99),
+    scale=st.floats(0.0, 40.0),
+    alphas=st.lists(st.sampled_from([0.5, 1.0, 4.0, np.inf]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_risk_gradients_match_whole_matrix_form(m, d, blocks, extra, scale, alphas, seed):
+    # gradients summed over row blocks of samples are within FROZEN_RTOL
+    # of the frozen whole-matrix form, relative to the size of the terms
+    # they sum; each alpha's rows have the bits of a one-alpha call
+    _, X, y, thetas = blocked_instance(m, d, blocks, extra, scale, seed)
+    together = risk_gradients(thetas, (X, y), alphas)
+    assert together.shape == (len(alphas), m, d)
+    for k, alpha in enumerate(alphas):
+        a = canon_alpha(alpha)
+        ref = seed_risk_gradient_batch(thetas, X, y, a)
+        scale_k = seed_risk_gradient_scale(thetas, X, y, a)
+        assert agrees_with_frozen(together[k], ref, scale=scale_k).all()
+        assert same_bits(risk_gradient_batch(thetas, (X, y), alpha), together[k])
 
 
 def test_factored_curvature_weight_forms_agree():

@@ -319,6 +319,7 @@ def constant_rtol(r0):
 @settings(max_examples=120, deadline=None)
 @given(alpha=st.sampled_from(CONSTANT_ALPHAS), r0=st.floats(1e-3, 800.0))
 @example(alpha=0.3, r0=800.0)
+@example(alpha=0.3, r0=304.5)
 @example(alpha=1.0 + 2e-9, r0=800.0)
 @example(alpha=8.0, r0=1e-3)
 def test_loss_constants_match_mpmath(alpha, r0):

@@ -337,6 +337,8 @@ def test_end_to_end_evolution_recheck():
 
 
 AUDIT_DATA = sample_gmm(GmmSpec.symmetric(), 500, seed=41, normalize=True)
+# 65 points straddle a block boundary of the samples: 32,768 // 65 = 504
+# rows >= 500 make one block of samples, 32,768 // 66 = 496 < 500 make two
 AUDIT_BLOCK = BLOCK_ELEMENTS // AUDIT_DATA.n
 
 
@@ -350,10 +352,10 @@ AUDIT_BLOCK = BLOCK_ELEMENTS // AUDIT_DATA.n
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_verdicts_match_pointwise(alpha, count, theta0, epsilon, per_point, seed):
-    # blocks of the batched oracle, masks and per-point certificates give
-    # the verdicts of one check_slqc_at call per point, and of an oracle
-    # that evaluates one row at a time; the wide kappa range reaches all
-    # three verdicts and both failure modes
+    # sample blocks of the batched oracle, masks and per-point
+    # certificates give the verdicts of one check_slqc_at call per point,
+    # and of an oracle that evaluates one row at a time; the wide kappa
+    # range reaches all three verdicts and both failure modes
     rng = np.random.default_rng(seed)
     theta0 = np.array(theta0)
     thetas = rng.uniform(-6.0, 6.0, size=(count, 2))
