@@ -38,12 +38,12 @@ from .losses import (
 from .util import sigmoid, softplus
 
 BALL_SLACK = 1e-9
-# Margins (samples x parameter rows) per block of a risk or gradient pass.
-# Each float64 temporary of a block is 256 KB, so the few alive at once
-# stay in a 2 MB L2 cache.  A block's products take rows * m * d <=
-# 32,768 * d multiply-adds, under OpenBLAS's one-thread gemm cutoff of
-# 65,536 * 4 for d <= 8, so no product reaches the BLAS thread pool and
-# the bits do not depend on the thread count.
+# Margins (samples x parameter rows) per block of a risk or gradient pass:
+# each float64 temporary is 256 KB, so the few alive stay in a 2 MB L2.
+# Block products take rows * m * d <= 32,768 * d multiply-adds, under
+# OpenBLAS's one-thread gemm cutoff 65,536 * 4 for d <= 8, so the bits do
+# not depend on the BLAS thread count; gradient blocks count m as at least
+# 4, since one row at d = 1 sums by a dot product, threaded above 10,000.
 BLOCK_ELEMENTS = 32_768
 
 
@@ -135,7 +135,7 @@ def risk_gradients(thetas, data, alphas) -> np.ndarray:
     X, y = _as_xy(data)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     (n, d), m = X.shape, thetas.shape[0]
-    rows = min(n, max(1, BLOCK_ELEMENTS // m))
+    rows = min(n, max(1, BLOCK_ELEMENTS // max(m, 4)))
     z, lp, F1 = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
     sums, part = np.zeros((len(alphas), m, d)), np.empty((m, d))
     for start in range(0, n, rows):

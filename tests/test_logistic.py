@@ -407,16 +407,14 @@ def test_risks_match_per_alpha_losses():
     assert np.array_equal(risks(thetas, data, [np.inf]), together[[4]])
 
 
-def blocked_instance(m, d, blocks, extra, scale, seed):
-    # n is not a multiple of the block rows: ``blocks`` whole blocks and
-    # a part; one parameter row still gives blocks of BLOCK_ELEMENTS rows
-    rows = BLOCK_ELEMENTS // m
+def blocked_instance(rows, m, d, blocks, extra, scale, seed):
+    # n is not a multiple of the block rows: ``blocks`` whole blocks and a part
     n = blocks * rows + max(1, int(extra * rows))
     rng = np.random.default_rng(seed)
     X = rng.random((n, d))
     y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     thetas = scale * rng.uniform(-1.0, 1.0, size=(m, d))
-    return rows, X, y, thetas
+    return X, y, thetas
 
 
 @settings(max_examples=40, deadline=None)
@@ -438,7 +436,8 @@ def test_risks_bit_identical_to_mean_over_stacked_block_margins(
     # product differently from the whole, so the whole product agrees to
     # FROZEN_RTOL only); one parameter row is summed pairwise in one
     # block, and the alpha = 1 losses are summed in the softplus buffer
-    rows, X, y, thetas = blocked_instance(m, d, blocks, extra, scale, seed)
+    rows = BLOCK_ELEMENTS // m
+    X, y, thetas = blocked_instance(rows, m, d, blocks, extra, scale, seed)
     n = X.shape[0]
     rows = n if m == 1 else rows
     Z = np.concatenate([X[i:i + rows] @ thetas.T for i in range(0, n, rows)]) * y[:, None]
@@ -464,10 +463,12 @@ def test_risks_bit_identical_to_mean_over_stacked_block_margins(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_blocked_risk_gradients_match_whole_matrix_form(m, d, blocks, extra, scale, alphas, seed):
-    # gradients summed over row blocks of samples are within FROZEN_RTOL
-    # of the frozen whole-matrix form, relative to the size of the terms
-    # they sum; each alpha's rows have the bits of a one-alpha call
-    _, X, y, thetas = blocked_instance(m, d, blocks, extra, scale, seed)
+    # gradients summed over row blocks of samples (of at least 4 columns'
+    # worth) are within FROZEN_RTOL of the frozen whole-matrix form,
+    # relative to the size of the terms they sum; each alpha's rows have
+    # the bits of a one-alpha call
+    rows = BLOCK_ELEMENTS // max(m, 4)
+    X, y, thetas = blocked_instance(rows, m, d, blocks, extra, scale, seed)
     together = risk_gradients(thetas, (X, y), alphas)
     assert together.shape == (len(alphas), m, d)
     for k, alpha in enumerate(alphas):

@@ -41,13 +41,33 @@ def gmm(tmp_path_factory):
     return str(path)
 
 
-def run_cli(args, gmm, out, **env):
-    """The CSV lines of one subcommand run, without its timestamp and out lines."""
+# risk and gradient digests at shapes whose whole products (or, for one
+# parameter row at d = 1, whose dot products) OpenBLAS would thread
+KERNELS = """
+import hashlib, numpy as np
+from alpha_lab.logistic import risk_gradients, risks
+h = hashlib.sha256()
+for n, m, d in ((40_000, 1, 1), (40_000, 1, 5), (2_000, 2_601, 2), (5_000, 300, 8)):
+    rng = np.random.default_rng(n + m + d)
+    X, y = rng.random((n, d)), np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    thetas = 4.0 * rng.uniform(-1.0, 1.0, (m, d))
+    h.update(risks(thetas, (X, y), [0.5, 1.0, 4.0, np.inf]).tobytes())
+    h.update(risk_gradients(thetas, (X, y), [0.5, 1.0, 4.0, np.inf]).tobytes())
+print(h.hexdigest())
+"""
+
+
+def run_python(args, **env):
     src = os.path.dirname(os.path.dirname(alpha_lab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
            **env}
-    subprocess.run([sys.executable, "-m", "alpha_lab.cli", *args, "--gmm", gmm, "--out", str(out)],
-                   env=env, capture_output=True, check=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=300).stdout
+
+
+def run_cli(args, gmm, out, **env):
+    """The CSV lines of one subcommand run, without its timestamp and out lines."""
+    run_python(["-m", "alpha_lab.cli", *args, "--gmm", gmm, "--out", str(out)], **env)
     return [line for line in out.read_text().splitlines()
             if not line.startswith(("# timestamp:", "# out:"))]
 
@@ -71,3 +91,8 @@ def test_output_independent_of_blas_threads(tmp_path, gmm, args):
     manifest, rows = discrete(one, args[0])
     assert len(manifest) == len(DISCRETE[args[0]][1])
     assert discrete(avx2, args[0]) == (manifest, rows)
+
+
+def test_kernels_independent_of_blas_threads():
+    one = run_python(["-c", KERNELS], OPENBLAS_NUM_THREADS="1")
+    assert one == run_python(["-c", KERNELS], OPENBLAS_NUM_THREADS="2")
