@@ -209,7 +209,8 @@ class TrendResult:
     The check is conditional on the linear model attaining the minimal
     risk for the data distribution; ``conditional`` records that caveat.
     ``converged`` and ``capped`` count, per sample size, the runs whose
-    training met the stop rule and those that hit the iteration cap.
+    training met the stop rule and those that hit the iteration cap, and
+    ``iterations`` sums their GD iterations.
     """
 
     alpha: float
@@ -219,6 +220,7 @@ class TrendResult:
     bayes: float
     converged: np.ndarray
     capped: np.ndarray
+    iterations: np.ndarray
     conditional: str = (
         "trend is conditional on the linear model attaining the minimal risk; "
         "this assumption is not verified"
@@ -254,6 +256,7 @@ def optimality_trend(
     mean_gap = np.zeros(len(n_grid))
     se_gap = np.zeros(len(n_grid))
     converged = np.zeros(len(n_grid), dtype=int)
+    iterations = np.zeros(len(n_grid), dtype=int)
     for i, n in enumerate(n_grid):
         datasets = [
             sample_gmm(spec, int(n), seed=(seed, _STREAM_TREND, i, r)) for r in range(runs)
@@ -262,11 +265,13 @@ def optimality_trend(
         y = np.stack([d.y for d in datasets]).astype(float)
         thetas, reports = _batched_gd(X, y, cfg)
         converged[i] = sum(rep.converged for rep in reports)
+        iterations[i] = sum(rep.iterations for rep in reports)
         gaps = np.array(
             [gaussian_linear_error(spec, th, 0.0) - rstar for th in thetas]
         )
         mean_gap[i] = gaps.mean()
         se_gap[i] = gaps.std(ddof=1) / np.sqrt(runs) if runs > 1 else np.inf
     return TrendResult(
-        a, [int(n) for n in n_grid], mean_gap, se_gap, float(rstar), converged, runs - converged
+        a, [int(n) for n in n_grid], mean_gap, se_gap, float(rstar),
+        converged, runs - converged, iterations,
     )

@@ -225,6 +225,7 @@ def cmd_synth(args) -> int:
     manifest["runs"] = args.runs
     manifest["converged_runs"] = ",".join(str(int(c)) for c in summary.run_converged.sum(axis=1))
     manifest["capped_runs"] = ",".join(str(int(c)) for c in (~summary.run_converged).sum(axis=1))
+    manifest["gd_row_iterations"] = ",".join(str(int(c)) for c in summary.run_iterations.sum(axis=1))
     rows = [
         [
             _fmt(a),
@@ -453,6 +454,7 @@ def cmd_trend(args) -> int:
     manifest["note"] = result.conditional
     manifest["converged_runs"] = ",".join(str(int(c)) for c in result.converged)
     manifest["capped_runs"] = ",".join(str(int(c)) for c in result.capped)
+    manifest["gd_row_iterations"] = ",".join(str(int(c)) for c in result.iterations)
     rows = [
         [n, result.mean_gap[i], result.se_gap[i]] for i, n in enumerate(result.ns)
     ]

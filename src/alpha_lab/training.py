@@ -5,7 +5,11 @@ projecting onto the parameter ball when a finite radius is set.  It
 stops once the stop statistic falls below the optimality parameter: the
 gradient norm, or, when the projection moved the step, the
 gradient-mapping norm ||theta - P(theta - lr * grad)|| / lr, which
-vanishes at a constrained minimizer on the sphere.
+vanishes at a constrained minimizer on the sphere.  Runs of one shape
+train as one batch; a lone run with fewer than 8 features (every
+``train_gd`` call, and the last run of a batch to stop) is finished on
+1-D buffers and Python floats, with the batch's bits and fewer numpy
+calls per step.
 ``run_synthetic_experiment`` repeats draw/corrupt/train over seeded runs
 for several tuning values, averages the trained linear predictors, and
 reports their angles to the Bayes reference plus balanced-test
@@ -152,6 +156,65 @@ def _sqrt_threshold(t: float) -> float:
     return x
 
 
+# numpy's add.reduce sums a row of fewer than 8 elements left to right, as
+# the one-run loop's Python sums do; from 8 elements on it sums in 8 lanes
+# and rounds differently, so wider runs stay on the batched path.
+_SEQUENTIAL_ROW_SUM = 8
+
+
+def _gd_one_run(A, theta, it, weights, scale, thr, config: TrainConfig):
+    """Finish one run of ``_batched_gd`` from iterate ``theta`` at step ``it``.
+
+    A is the run's (n, d) signed design, d < ``_SEQUENTIAL_ROW_SUM``, and
+    ``scale`` = -sign * n.  The margins and weights live in 1-D buffers and
+    both products are gemv calls through ``np.dot``, which round as the
+    batched matmuls do.  The d-vector work runs on Python floats, whose
+    ``/``, ``*``, ``-`` and ``math.sqrt`` are numpy's correctly rounded
+    operations, and each squared norm is summed left to right (not with
+    ``sum``, which compensates from Python 3.12 on), so every step has the
+    batched loop's bits.  Returns (theta as a list, iterations, stop
+    statistic, converged).
+    """
+    n, d = A.shape
+    lr, tol, radius = config.learning_rate, config.optimality_parameter, config.radius
+    bounded = radius < math.inf
+    margins, scratch, grad = np.empty(n), np.empty(n), np.empty(d)
+    vec, th = theta, theta.tolist()
+    while True:
+        np.dot(A, vec, out=margins)
+        weights(margins, scratch)
+        np.dot(margins, A, out=grad)
+        g = [v / scale for v in grad.tolist()]
+        ss = 0.0
+        for v in g:
+            ss += v * v
+        if not ss < math.inf:  # also catches NaN
+            raise NumericTrainingError(it, vec)
+        nxt = [t - v * lr for t, v in zip(th, g)]
+        if bounded:
+            stat = math.sqrt(ss)
+            sq = 0.0
+            for v in nxt:
+                sq += v * v
+            norm = math.sqrt(sq)
+            if norm > radius:
+                shrink = radius / norm
+                nxt = [v * shrink for v in nxt]
+                sq = 0.0
+                for t, v in zip(th, nxt):
+                    moved = t - v
+                    sq += moved * moved
+                stat = math.sqrt(sq) / lr
+            stopping = stat <= tol
+        else:
+            stopping = ss <= thr
+        if stopping or it >= config.max_iterations:
+            return th, it, stat if bounded else math.sqrt(ss), stopping
+        th = nxt
+        vec = np.array(th)
+        it += 1
+
+
 def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     """Gradient descent on R stacked datasets of identical shape.
 
@@ -165,10 +228,18 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     radius the test compares the squared gradient norm with
     ``_sqrt_threshold`` of the optimality parameter, which decides exactly
     as the norm would; the norm itself is taken only on the steps where
-    rows stop, and is what their reports hold.  The margins, weights, gradients
-    and squared norms of every step are written into buffers allocated
-    once per call, through views built once per working-batch size, and
-    the iterate is updated in place.
+    rows stop, and is what their reports hold.  The margins, weights,
+    gradients and squared norms of every step are written into buffers
+    allocated once per call, through views built once per working-batch
+    size, and the iterate is updated in place.
+
+    Once the batch is down to one run and d < ``_SEQUENTIAL_ROW_SUM`` (from
+    the first step for ``train_gd`` and one-run experiments, else for the
+    last run to stop), ``_gd_one_run`` finishes that run from the current
+    iterate and step.  At that size a step costs numpy call overhead, not
+    arithmetic; the one-run loop keeps the bits and makes no numpy call on
+    a d-element array.  The bound on d holds numpy's row sums to the left
+    to right order of the one-run loop's Python sums.
     """
     R, n, d = X.shape
     a = canon_alpha(config.alpha)
@@ -204,16 +275,19 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     it = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
+            if k == 1 and d < _SEQUENTIAL_ROW_SUM:
+                r = idx[0]
+                theta_out[r], iterations[r], grad_norms[r], done[r] = _gd_one_run(
+                    A[0], theta[0], it, weights, -sign * n, thr, config
+                )
+                break
             np.matmul(A, theta_col, out=M)
             weights(S, T)
             np.matmul(S_row, A, out=G3)
             G /= grad_scale
             np.multiply(G, G, out=sq)
             np.add.reduce(sq, axis=1, out=ss)
-            if k == 1:
-                lo = hi = ss.item()
-            else:
-                lo, hi = ss.min(), ss.max()
+            lo, hi = ss.min(), ss.max()
             if not hi < math.inf:  # also catches NaN
                 bad = int(np.flatnonzero(~np.isfinite(ss))[0])
                 raise NumericTrainingError(it, theta[bad])
@@ -317,6 +391,7 @@ class ExperimentSummary:
     gain_sign: np.ndarray
     run_thetas: np.ndarray              # (A, runs, d)
     run_converged: np.ndarray           # (A, runs) bool
+    run_iterations: np.ndarray          # (A, runs) GD iterations
     runs: int
 
     @property
@@ -362,6 +437,7 @@ def run_synthetic_experiment(
     avg_theta = np.zeros((A, d))
     run_thetas = np.zeros((A, runs, d))
     run_conv = np.zeros((A, runs), dtype=bool)
+    run_iters = np.zeros((A, runs), dtype=int)
     angles = np.zeros(A)
     acc_minus = np.zeros(A)
     acc_plus = np.zeros(A)
@@ -370,6 +446,7 @@ def run_synthetic_experiment(
         thetas, reports = _batched_gd(X, y, replace(config, alpha=a))
         run_thetas[i] = thetas
         run_conv[i] = [rep.converged for rep in reports]
+        run_iters[i] = [rep.iterations for rep in reports]
         avg = thetas.mean(axis=0)
         avg_theta[i] = avg
         angles[i] = angle_between(avg, bayes_w)
@@ -387,7 +464,7 @@ def run_synthetic_experiment(
             gains[i], signs[i] = relative_accuracy_gain(acc_all[i], ref)
     return ExperimentSummary(
         alphas, avg_theta, angles, acc_minus, acc_plus, acc_all,
-        gains, signs, run_thetas, run_conv, runs,
+        gains, signs, run_thetas, run_conv, run_iters, runs,
     )
 
 

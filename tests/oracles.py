@@ -538,6 +538,25 @@ def mp_small_radius_modulus(alpha, s):
         1 - mpmath.exp(s) + mpmath.exp(-s) / alpha)
 
 
+@_mp_float
+def mp_rademacher_bound(alpha, rd, n, delta):
+    """C * 2 rd / sqrt(n) + 4 D * sqrt(2 log(4/delta) / n), with C the sup of |l'|
+    and D the sup of l on [-rd, rd], rd = r sqrt(d)."""
+    c = mp_margin_lipschitz_constant.__wrapped__(alpha, rd)
+    sup = mp_margin_alpha_loss.__wrapped__(alpha, -rd)
+    return c * 2 * rd / mpmath.sqrt(n) + 4 * sup * mpmath.sqrt(2 * mpmath.log(4 / delta) / n)
+
+
+@_mp_float
+def mp_uniform_discrepancy_bound(alpha, rd, n, delta):
+    """sigmoid(rd) * (2 rd / sqrt(n) + 4 sqrt(2 log(4/delta) / n)) + softplus(rd)^2 / (2 alpha)."""
+    base = (2 * rd / mpmath.sqrt(n) + 4 * mpmath.sqrt(2 * mpmath.log(4 / delta) / n)) / (
+        1 + mpmath.exp(-rd))
+    if mpmath.isinf(alpha):
+        return base
+    return base + mpmath.log1p(mpmath.exp(rd)) ** 2 / (2 * alpha)
+
+
 def mp_exact(fn, *args):
     """The value of an ``_mp_float`` function at MP_DPS digits, not rounded."""
     with mpmath.workdps(MP_DPS):

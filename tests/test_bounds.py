@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from alpha_lab import bounds
@@ -18,6 +22,10 @@ from alpha_lab.util import softplus
 
 from oracles import (
     agrees_with_frozen,
+    meets_mp_bound,
+    mp_exact,
+    mp_rademacher_bound,
+    mp_uniform_discrepancy_bound,
     seed_ball_points,
     seed_margin_alpha_loss,
     seed_population_risks,
@@ -74,6 +82,82 @@ def test_uniform_discrepancy_bound_structure():
     )
     with pytest.raises(ValueError):
         uniform_discrepancy_bound(BoundQuery(alpha=0.5, r=1.0, d=2, n=100, delta=0.05))
+
+
+BOUND_ALPHAS = [1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-7, 1.0 - 1e-7, 0.3, 8.0, 1e6, np.inf]
+EPS = np.finfo(float).eps
+
+
+def rademacher_rtol(rd):
+    # C and D each meet 4 eps max(1, rd) at the double rd (tests/test_losses.py);
+    # the products, quotients and roots that combine them, and numpy's log
+    # (4 ulps, conditioned by 1/log(4/delta) < 1), add less than 8 eps
+    return 4.0 * EPS * max(1.0, rd) + 8.0 * EPS
+
+
+# sigmoid and softplus within 4 ulps (tests/test_losses.py), the softplus
+# squared, plus the log and seven roundings of the arithmetic
+UNIFORM_RTOL = 16.0 * EPS
+
+
+def _query_and_rd(alpha, rd, d, n, delta):
+    """The query whose radius r sqrt(d) is rd up to rounding, and that radius
+    as the library forms it: its rounding is the input's, not the bound's."""
+    r = rd / math.sqrt(d)
+    return BoundQuery(alpha=alpha, r=r, d=d, n=n, delta=delta), r * math.sqrt(d)
+
+
+_BOUND_INPUTS = dict(
+    # rd up to 300: beyond it at alpha = 0.3 the formula overflows early (see below)
+    rd=st.floats(1e-3, 300.0), d=st.integers(1, 64), n=st.integers(1, 10**9),
+    delta=st.floats(1e-12, 1.0 - 1e-9),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.sampled_from(BOUND_ALPHAS), **_BOUND_INPUTS)
+@example(alpha=0.3, rd=300.0, d=1, n=10**9, delta=1e-12)
+@example(alpha=1.0 - 2e-9, rd=1e-3, d=64, n=1, delta=1.0 - 1e-9)
+@example(alpha=np.inf, rd=300.0, d=3, n=7, delta=0.05)
+def test_rademacher_bound_matches_mpmath(alpha, rd, d, n, delta):
+    q, rd = _query_and_rd(alpha, rd, d, n, delta)
+    truth = mp_exact(mp_rademacher_bound, alpha, rd, n, delta)
+    assert meets_mp_bound(rademacher_bound(q), truth, rademacher_rtol(rd)), (
+        rademacher_bound(q), truth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.sampled_from(BOUND_ALPHAS), **_BOUND_INPUTS)
+@example(alpha=1.0 + 2e-9, rd=300.0, d=1, n=1, delta=1e-12)
+@example(alpha=1e6, rd=1e-3, d=64, n=10**9, delta=1.0 - 1e-9)
+def test_uniform_discrepancy_bound_matches_mpmath(alpha, rd, d, n, delta):
+    q, rd = _query_and_rd(alpha, rd, d, n, delta)
+    if alpha < 1.0:
+        with pytest.raises(ValueError):
+            uniform_discrepancy_bound(q)
+        return
+    truth = mp_exact(mp_uniform_discrepancy_bound, alpha, rd, n, delta)
+    assert meets_mp_bound(uniform_discrepancy_bound(q), truth, UNIFORM_RTOL), (
+        uniform_discrepancy_bound(q), truth)
+
+
+def test_rademacher_bound_is_inf_beyond_dbl_max():
+    # at alpha = 0.3 both terms exceed DBL_MAX from about rd = 305 on, whatever n
+    for n in (1, 10**9):
+        q, rd = _query_and_rd(0.3, 800.0, 4, n, 0.05)
+        assert mp_exact(mp_rademacher_bound, 0.3, rd, n, 0.05) > np.finfo(float).max
+        with np.errstate(over="ignore"):
+            assert rademacher_bound(q) == np.inf
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "c * 2 * rd and 4 * d_sup overflow before the division by sqrt(n), so the "
+    "bound reads inf where its true value is finite"))
+def test_rademacher_bound_finite_where_only_its_intermediates_overflow():
+    q, rd = _query_and_rd(0.3, 303.0, 1, 10**8, 0.05)
+    truth = mp_exact(mp_rademacher_bound, 0.3, rd, 10**8, 0.05)  # about 6.8e305
+    with np.errstate(over="ignore"):
+        assert meets_mp_bound(rademacher_bound(q), truth, rademacher_rtol(rd))
 
 
 def test_generalization_audit_small():

@@ -207,6 +207,9 @@ def test_synth_single_run_determinism(tmp_path):
     _, _, runs = read_csv(out1 / "predictors.csv")
     assert f"# converged_runs: {runs[0][2]}" in comments
     assert f"# capped_runs: {1 - int(runs[0][2])}" in comments
+    manifest = dict(c[2:].split(": ", 1) for c in comments)
+    # a capped run takes exactly max_iterations steps, a converged one fewer
+    assert (int(manifest["gd_row_iterations"]) == 200_000) == (runs[0][2] == "0")
 
 
 def test_synth_unknown_scenario(tmp_path):
@@ -373,6 +376,10 @@ def test_trend_subcommand(tmp_path):
     converged = [int(v) for v in manifest["converged_runs"].split(",")]
     capped = [int(v) for v in manifest["capped_runs"].split(",")]
     assert len(converged) == 2 and [c + k for c, k in zip(converged, capped)] == [3, 3]
+    iterations = [int(v) for v in manifest["gd_row_iterations"].split(",")]
+    for i, c, k in zip(iterations, converged, capped):
+        # a capped run takes exactly max_iterations steps, a converged one fewer
+        assert 200_000 * k <= i <= 200_000 * k + 199_999 * c
 
 
 def test_slqc_audit_small(tmp_path):

@@ -27,6 +27,7 @@ from alpha_lab.training import (
     _STREAM_DATA,
     TRAIN_POOL,
     NumericTrainingError,
+    _SEQUENTIAL_ROW_SUM,
     TrainConfig,
     _batched_gd,
     _sqrt_threshold,
@@ -201,13 +202,17 @@ def _assert_matches_frozen(X, y, cfg):
     return reports
 
 
-@pytest.mark.parametrize("R", [1, 3, 5])
-@pytest.mark.parametrize("n", [100, 500, 5000])
-def test_batched_gd_bit_identical_to_frozen_loop(R, n):
+# d < _SEQUENTIAL_ROW_SUM takes the one-run loop once one run is left, d = 8 does not
+@pytest.mark.parametrize("n, R, d", [
+    pytest.param(n, R, d, id=f"{n}-{R}" if d == 2 else f"{n}-{R}-d{d}")
+    for n in (100, 500, 5000) for R in (1, 3, 5) for d in (1, 2, 3, 7, 8)
+])
+def test_batched_gd_bit_identical_to_frozen_loop(n, R, d):
     rng = np.random.default_rng(10 * R + n)
-    # rows of different spread stop at different steps
+    # rows of different spread stop at different steps; the last one to
+    # stop is handed to the one-run loop
     spread = np.linspace(0.4, 1.6, R)[:, None, None]
-    X = spread * rng.normal(size=(R, n, 2)) + np.array([0.3, -0.1])
+    X = spread * rng.normal(size=(R, n, d)) + np.linspace(0.3, -0.1, d)
     y = np.where(rng.random((R, n)) < 0.35, -1.0, 1.0)
     causes = set()
     for alpha in (0.5, 0.65, 1.0, 4.0, np.inf):
@@ -216,6 +221,31 @@ def test_batched_gd_bit_identical_to_frozen_loop(R, n):
                               max_iterations=300, radius=radius)
             causes |= {r.cause for r in _assert_matches_frozen(X, y, cfg)}
     assert causes == {"gradient_tolerance", "max_iterations"}
+
+
+@pytest.mark.parametrize("d", range(1, _SEQUENTIAL_ROW_SUM))
+def test_one_run_gd_premises_hold(d):
+    # the one-run loop sums a short row left to right in Python floats and
+    # takes both products with np.dot; each must give the batched loop's bits
+    rng = np.random.default_rng(d)
+    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
+        rows = scale * rng.normal(size=(2000, 1, d))
+        for row in rows:
+            total = 0.0
+            for v in row[0].tolist():
+                total += v
+            assert np.add.reduce(row, axis=1)[0] == total
+    # n up to 20,000 reaches OpenBLAS's threaded gemv
+    for n in (1, 7, 100, 500, 5000, 20_000):
+        A = rng.normal(size=(3, n, d))
+        theta = rng.normal(size=(3, d))
+        margins = np.matmul(A, theta[:, :, None])[:, :, 0]
+        grads = np.matmul(margins[:, None, :], A)[:, 0, :]
+        for r in range(3):
+            assert np.dot(A[r], theta[r]).tobytes() == margins[r].tobytes()
+            assert np.dot(margins[r], A[r]).tobytes() == grads[r].tobytes()
+            alone = np.matmul(A[r : r + 1], theta[r, None, :, None])[0, :, 0]
+            assert alone.tobytes() == margins[r].tobytes()
 
 
 def test_batched_gd_bit_identical_to_frozen_loop_on_synth_draw():
