@@ -184,13 +184,13 @@ def _gd_one_run(A, theta, it, weights, scale, thr, config: TrainConfig):
         np.dot(A, vec, out=margins)
         weights(margins, scratch)
         np.dot(margins, A, out=grad)
-        g = [v / scale for v in grad.tolist()]
-        ss = 0.0
-        for v in g:
+        ss, nxt = 0.0, []
+        for t, v in zip(th, grad.tolist()):
+            v /= scale
             ss += v * v
+            nxt.append(t - v * lr)
         if not ss < math.inf:  # also catches NaN
             raise NumericTrainingError(it, vec)
-        nxt = [t - v * lr for t, v in zip(th, g)]
         if bounded:
             stat = math.sqrt(ss)
             sq = 0.0

@@ -266,18 +266,20 @@ def test_batched_gd_bit_identical_to_frozen_loop_on_synth_draw():
 
 
 def test_stop_test_at_the_tolerance_boundary():
-    # a tolerance equal to the first gradient norm stops at step 0, one ulp
+    # a tolerance equal to the first stop statistic stops at step 0, one ulp
     # below it does not; across the draws the squared norm sits exactly on
-    # the threshold about half the time
+    # the threshold about half the time.  Radius 1e-4 projects the first
+    # step, so there the statistic is the gradient-mapping norm
     for seed in range(20):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(1, 100, 2)) + 0.2
         y = np.where(rng.random((1, 100)) < 0.4, -1.0, 1.0)
-        _, [(_, _, gn0, _)] = frozen_batched_gd(X, y, 1.0, max_iterations=0)
-        for tol, stops in ((gn0, True), (math.nextafter(gn0, 0.0), False)):
-            cfg = TrainConfig(optimality_parameter=tol, max_iterations=3)
-            (report,) = _assert_matches_frozen(X, y, cfg)
-            assert (report.converged and report.iterations == 0) == stops
+        for radius in (np.inf, 1e-4):
+            _, [(_, _, stat0, _)] = frozen_batched_gd(X, y, 1.0, max_iterations=0, radius=radius)
+            for tol, stops in ((stat0, True), (math.nextafter(stat0, 0.0), False)):
+                cfg = TrainConfig(optimality_parameter=tol, max_iterations=3, radius=radius)
+                (report,) = _assert_matches_frozen(X, y, cfg)
+                assert (report.converged and report.iterations == 0) == stops
 
 
 _THRESHOLD_TOLS = st.one_of(
