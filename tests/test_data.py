@@ -23,11 +23,11 @@ from alpha_lab.cli import SCENARIOS
 from alpha_lab.logistic import risk_gradient
 from alpha_lab.slqc import NgdConfig
 from alpha_lab.training import (
+    _SEQUENTIAL_ROW_SUM,
     _STREAM_CORRUPT,
     _STREAM_DATA,
     TRAIN_POOL,
     NumericTrainingError,
-    _SEQUENTIAL_ROW_SUM,
     TrainConfig,
     _batched_gd,
     _sqrt_threshold,
