@@ -26,6 +26,7 @@ from alpha_lab import (
     theta_lipschitz_constant,
     train_gd,
 )
+from alpha_lab.slqc import evolution_range
 
 R = 1.0
 data = sample_gmm(GmmSpec.symmetric(), 500, seed=3, normalize=True)
@@ -48,7 +49,7 @@ theta_probe = np.array([-0.6, 0.7])
 gnorm = float(np.linalg.norm(risk_gradient(theta_probe, data, alpha0)))
 L = alpha_lipschitz_risk(theta_probe)
 J = alpha_lipschitz_gradient(theta_probe)
-width = gnorm / (2.0 * J * (1.0 + R * kappa0 / 0.05))
+width = evolution_range(alpha0, gnorm, J, R, kappa0, 0.05)
 target = alpha0 + 0.5 * width
 eps, kappa = evolve_slqc(alpha0, 0.05, kappa0, gnorm, L, J, R, target)
 print(f"single-step evolution: admissible width {width:.2e}; at alpha={target:.6f}: "

@@ -65,7 +65,12 @@ def rademacher_bound(q: BoundQuery) -> float:
     rd = q.r * np.sqrt(q.d)
     c = margin_lipschitz_constant(a, rd)
     d_sup = loss_sup_bound(a, rd)
-    return float(c * 2.0 * rd / np.sqrt(q.n) + 4.0 * d_sup * np.sqrt(2.0 * np.log(4.0 / q.delta) / q.n))
+    root = np.sqrt(2.0 * np.log(4.0 / q.delta) / q.n)
+    with np.errstate(over="ignore"):
+        bound = c * 2.0 * rd / np.sqrt(q.n) + 4.0 * d_sup * root
+        if bound == np.inf:  # c * 2 * rd or 4 * d_sup may overflow where the bound does not
+            bound = c * (2.0 * rd / np.sqrt(q.n)) + d_sup * (4.0 * root)
+    return float(bound)
 
 
 def uniform_discrepancy_bound(q: BoundQuery) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import as_pmf, canon_alpha, inverse_sigmoid
+from .util import _float_or_array
 
 # Relative tolerance for detecting ties in the argmax set at alpha = inf.
 _TIE_RTOL = 1e-12
@@ -132,10 +133,7 @@ def min_conditional_risk(eta, alpha):
     e = np.asarray(eta, dtype=float)
     if np.any(e < 0.0) or np.any(e > 1.0):
         raise ValueError("eta must lie in [0, 1]")
-    out = _row_risks(np.stack([e, 1.0 - e], axis=-1), a)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(_row_risks(np.stack([e, 1.0 - e], axis=-1), a))
 
 
 def optimal_classifier(eta: float, alpha) -> float:

@@ -35,7 +35,7 @@ from .losses import (
     margin_lipschitz_constant,
     margin_loss_second_derivative,
 )
-from .util import sigmoid, softplus
+from .util import _float_or_array, sigmoid, softplus
 
 BALL_SLACK = 1e-9
 # Margins (samples x parameter rows) per block of a risk or gradient pass:
@@ -106,10 +106,7 @@ def soft_classifier(theta, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != th.size:
         raise ValueError(f"dimension mismatch: theta has d={th.size}, x has {x.shape[-1]}")
-    out = sigmoid(x @ th)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(sigmoid(x @ th))
 
 
 def empirical_alpha_risk(theta, data, alpha) -> float:
@@ -293,12 +290,10 @@ def _alpha_lipschitz_args(theta):
 
 def alpha_lipschitz_risk(theta):
     """L_d(theta): Lipschitz constant of the risk in 1/alpha on [1, inf], per row."""
-    out = np.square(softplus(_alpha_lipschitz_args(theta)[1])) / 2.0
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(np.square(softplus(_alpha_lipschitz_args(theta)[1])) / 2.0)
 
 
 def alpha_lipschitz_gradient(theta):
     """J_d(theta): Lipschitz constant of the risk gradient in 1/alpha, per row."""
     sqrt_d, s = _alpha_lipschitz_args(theta)
-    out = sqrt_d * softplus(s) * sigmoid(s)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(sqrt_d * softplus(s) * sigmoid(s))

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import util
-from .util import log_sigmoid, softplus
+from .util import _float_or_array, log_sigmoid, softplus
 
 # Values of alpha this close to 1 are routed to the log-loss branch to
 # avoid catastrophic cancellation in alpha/(alpha-1).
@@ -137,9 +137,7 @@ def margin_alpha_loss(alpha, z):
     supremum (alpha/(alpha-1) for alpha > 1, +inf otherwise).
     """
     (out,) = margin_alpha_losses([alpha], z)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(out)
 
 
 def _log_sigmoid_pair(z, lp=None, lm=None):
@@ -167,10 +165,7 @@ def margin_loss_derivative(alpha, z):
     """First derivative of the margin loss, -|F1|; strictly negative for finite z."""
     z = np.asarray(z, dtype=float)
     out = _grad_weights(canon_alpha(alpha), *_log_sigmoid_pair(z))
-    np.negative(out, out=out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(np.negative(out, out=out))
 
 
 def margin_loss_second_derivative(alpha, z):
@@ -189,17 +184,12 @@ def margin_loss_second_derivative(alpha, z):
     g -= gm
     with np.errstate(over="ignore"):
         out *= g
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(out)
 
 
 def sigmoid(z):
     """Logistic sigmoid 1 / (1 + e^-z)."""
-    out = util.sigmoid(z)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(util.sigmoid(z))
 
 
 def inverse_sigmoid(p):
@@ -209,9 +199,7 @@ def inverse_sigmoid(p):
         raise ValueError("inverse sigmoid requires p in [0, 1]")
     with np.errstate(divide="ignore"):
         out = np.log(p) - np.log1p(-p)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_or_array(out)
 
 
 def correspondence_gap(alpha, y: int, f_value: float) -> float:

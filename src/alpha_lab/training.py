@@ -1,15 +1,15 @@
 """Full-batch gradient-descent training and the seeded experiment harness.
 
 ``train_gd`` minimizes the empirical risk with a fixed learning rate,
-projecting onto the parameter ball when a finite radius is set.  It
-stops once the stop statistic falls below the optimality parameter: the
+projecting onto the parameter ball when a finite radius is set.  A run
+stops once its stop statistic is at most the optimality parameter: the
 gradient norm, or, when the projection moved the step, the
 gradient-mapping norm ||theta - P(theta - lr * grad)|| / lr, which
 vanishes at a constrained minimizer on the sphere.  Runs of one shape
 train as one batch; a lone run with fewer than 8 features (every
 ``train_gd`` call, and the last run of a batch to stop) is finished on
-1-D buffers and Python floats, with the batch's bits and fewer numpy
-calls per step.
+1-D buffers and Python floats, with the batch's bits.  Both loops apply
+that one rule and report each run at its stop step.
 ``run_synthetic_experiment`` repeats draw/corrupt/train over seeded runs
 for several tuning values, averages the trained linear predictors, and
 reports their angles to the Bayes reference plus balanced-test
@@ -50,7 +50,11 @@ TRAIN_POOL = 400  # training samples drawn per run, before corruption
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of full-batch gradient descent."""
+    """Hyperparameters of full-batch gradient descent.
+
+    ``seed`` is the master seed of ``run_synthetic_experiment``'s draws;
+    ``train_gd`` draws nothing and ignores it.
+    """
 
     alpha: float = 1.0
     learning_rate: float = 0.01
@@ -141,19 +145,10 @@ def _gd_step_weights(beta: float):
     return -1.0, weights
 
 
-def _sqrt_threshold(t: float) -> float:
-    """Largest double x with sqrt(x) <= t, so that x <= it exactly when sqrt(x) <= t.
-
-    The correctly rounded square root is monotone, so the doubles whose
-    root is at most t are those up to one threshold, which lies within a
-    few ulps of t * t.
-    """
-    x = t * t
-    while math.sqrt(x) > t:
-        x = math.nextafter(x, 0.0)
-    while x < math.inf and math.sqrt(math.nextafter(x, math.inf)) <= t:
-        x = math.nextafter(x, math.inf)
-    return x
+def _report(converged: bool, iterations: int, stat: float) -> ConvergenceReport:
+    """The report of a run that stopped at step ``iterations`` with stop statistic ``stat``."""
+    cause = "gradient_tolerance" if converged else "max_iterations"
+    return ConvergenceReport(converged, iterations, stat, cause)
 
 
 # numpy's add.reduce sums a row of fewer than 8 elements left to right, as
@@ -162,7 +157,7 @@ def _sqrt_threshold(t: float) -> float:
 _SEQUENTIAL_ROW_SUM = 8
 
 
-def _gd_one_run(A, theta, it, weights, scale, thr, config: TrainConfig):
+def _gd_one_run(A, theta, it, weights, scale, config: TrainConfig):
     """Finish one run of ``_batched_gd`` from iterate ``theta`` at step ``it``.
 
     A is the run's (n, d) signed design, d < ``_SEQUENTIAL_ROW_SUM``, and
@@ -172,8 +167,7 @@ def _gd_one_run(A, theta, it, weights, scale, thr, config: TrainConfig):
     ``/``, ``*``, ``-`` and ``math.sqrt`` are numpy's correctly rounded
     operations, and each squared norm is summed left to right (not with
     ``sum``, which compensates from Python 3.12 on), so every step has the
-    batched loop's bits.  Returns (theta as a list, iterations, stop
-    statistic, converged).
+    batched loop's bits.  Returns (theta as a list, ConvergenceReport).
     """
     n, d = A.shape
     lr, tol, radius = config.learning_rate, config.optimality_parameter, config.radius
@@ -191,8 +185,8 @@ def _gd_one_run(A, theta, it, weights, scale, thr, config: TrainConfig):
             nxt.append(t - v * lr)
         if not ss < math.inf:  # also catches NaN
             raise NumericTrainingError(it, vec)
+        stat = math.sqrt(ss)
         if bounded:
-            stat = math.sqrt(ss)
             sq = 0.0
             for v in nxt:
                 sq += v * v
@@ -205,11 +199,9 @@ def _gd_one_run(A, theta, it, weights, scale, thr, config: TrainConfig):
                     moved = t - v
                     sq += moved * moved
                 stat = math.sqrt(sq) / lr
-            stopping = stat <= tol
-        else:
-            stopping = ss <= thr
-        if stopping or it >= config.max_iterations:
-            return th, it, stat if bounded else math.sqrt(ss), stopping
+        converged = stat <= tol
+        if converged or it >= config.max_iterations:
+            return th, _report(converged, it, stat)
         th = nxt
         vec = np.array(th)
         it += 1
@@ -225,13 +217,13 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     norm, or, for a step that the projection onto the radius ball moved,
     the gradient-mapping norm ||theta - P(theta - lr * grad)|| / lr, which
     vanishes at a constrained (KKT) minimizer on the sphere.  Without a
-    radius the test compares the squared gradient norm with
-    ``_sqrt_threshold`` of the optimality parameter, which decides exactly
-    as the norm would; the norm itself is taken only on the steps where
-    rows stop, and is what their reports hold.  The margins, weights,
-    gradients and squared norms of every step are written into buffers
-    allocated once per call, through views built once per working-batch
-    size, and the iterate is updated in place.
+    radius each step takes the root of the smallest squared norm only; the
+    per-row norms are taken on the steps where rows stop, and are what
+    their reports hold.  Each stopped run's report is written at its stop
+    step.  The margins, weights, gradients and squared norms of every step
+    are written into buffers allocated once per call, through views built
+    once per working-batch size; the step is applied to the whole working
+    batch in place, and only then are the stopped rows dropped.
 
     Once the batch is down to one run and d < ``_SEQUENTIAL_ROW_SUM`` (from
     the first step for ``train_gd`` and one-run experiments, else for the
@@ -244,16 +236,12 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     R, n, d = X.shape
     a = canon_alpha(config.alpha)
     sign, weights = _gd_step_weights(0.0 if math.isinf(a) else 1.0 / a)
-    lr = config.learning_rate
+    lr, tol, radius = config.learning_rate, config.optimality_parameter, config.radius
+    bounded = radius < math.inf
     # 0-d operands: numpy converts a Python float operand on every call
-    lr_op, tol_op, grad_scale = (np.array(v) for v in (lr, config.optimality_parameter, -sign * n))
-    thr = _sqrt_threshold(config.optimality_parameter)
-    radius = config.radius
-    bounded = bool(np.isfinite(radius))
+    lr_op, tol_op, grad_scale = (np.array(v) for v in (lr, tol, -sign * n))
     theta_out = np.zeros((R, d))
-    iterations = np.zeros(R, dtype=int)
-    grad_norms = np.full(R, np.inf)
-    done = np.zeros(R, dtype=bool)
+    reports = [None] * R
 
     idx = np.arange(R)  # rows of the working batch -> original run ids
     A = (sign * y)[:, :, None] * X  # signed design; exact since y is +-1
@@ -277,9 +265,8 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
         while True:
             if k == 1 and d < _SEQUENTIAL_ROW_SUM:
                 r = idx[0]
-                theta_out[r], iterations[r], grad_norms[r], done[r] = _gd_one_run(
-                    A[0], theta[0], it, weights, -sign * n, thr, config
-                )
+                theta_out[r], reports[r] = _gd_one_run(A[0], theta[0], it, weights,
+                                                       -sign * n, config)
                 break
             np.matmul(A, theta_col, out=M)
             weights(S, T)
@@ -304,42 +291,30 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
                 newly = stat <= tol_op
                 stopping = newly.any()
             else:
-                stopping = lo <= thr
+                stopping = math.sqrt(lo) <= tol
             capped = it >= config.max_iterations
+            keep = None
             if capped or stopping:
                 if not bounded:
-                    newly, stat = ss <= thr, np.sqrt(ss)
+                    stat = np.sqrt(ss)
+                    newly = stat <= tol_op
                 stop = newly | capped
-                rows = idx[stop]
-                theta_out[rows] = theta[stop]
-                iterations[rows] = it
-                grad_norms[rows] = stat[stop]
-                done[rows] = newly[stop]
+                theta_out[idx[stop]] = theta[stop]
+                for r, c, s in zip(idx[stop].tolist(), newly[stop].tolist(), stat[stop].tolist()):
+                    reports[r] = _report(c, it, s)
                 keep = ~stop
                 if not keep.any():
                     break
-                idx, A, theta = idx[keep], A[keep], theta[keep]
-                steps = G3[keep]  # the kept rows' steps move to the buffer prefix
-                k = len(idx)
-                M, S, S_row, T, G3, G, sq, ss = views(k)
-                G3[...] = steps
-                theta_col = theta[:, :, None]
-                if bounded:
-                    nxt = nxt[keep]
             if bounded:
                 np.copyto(theta, nxt)
             else:
                 np.subtract(theta, G, out=theta)
+            if keep is not None:
+                idx, A, theta = idx[keep], A[keep], theta[keep]
+                k = len(idx)
+                M, S, S_row, T, G3, G, sq, ss = views(k)
+                theta_col = theta[:, :, None]
             it += 1
-    reports = [
-        ConvergenceReport(
-            converged=bool(done[r]),
-            iterations=int(iterations[r]),
-            grad_norm=float(grad_norms[r]),
-            cause="gradient_tolerance" if done[r] else "max_iterations",
-        )
-        for r in range(R)
-    ]
     return theta_out, reports
 
 

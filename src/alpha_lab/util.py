@@ -72,6 +72,11 @@ def _log1p_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.log1p(out, out=out)
 
 
+def _float_or_array(out):
+    """A kernel's result: a 0-d result as a Python float, any other as the array itself."""
+    return float(out) if out.ndim == 0 else out
+
+
 def _out_for(x, out):
     x = np.asarray(x, dtype=float)
     return x, np.empty_like(x) if out is None else out

@@ -6,12 +6,16 @@ imported nor run.  A library rename or deletion that would break its
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import alpha_lab
 from alpha_lab import cli
+from alpha_lab.training import ConvergenceReport, TrainConfig, _batched_gd
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 TREE = ast.parse(RUN_PY.read_text())
@@ -76,6 +80,32 @@ def test_positional_reads_name_the_traced_parameter():
                 assert params[i] == name, (module, attr, i, name, params)
                 reads += 1
     assert reads >= 8
+
+
+def test_gd_counts_read_convergence_report_fields():
+    # _gd_counts reads the reports of the traced _batched_gd call from result[1]
+    fn = next(n for n in TREE.body if isinstance(n, ast.FunctionDef) and n.name == "_gd_counts")
+    reports = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+               and ast.unparse(n.value) == "result[1]" for t in n.targets}
+    rows = {c.target.id for c in ast.walk(fn) if isinstance(c, ast.comprehension)
+            and isinstance(c.iter, ast.Name) and c.iter.id in reports}
+    read = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id in rows}
+    assert read and read <= {f.name for f in dataclasses.fields(ConvergenceReport)}, read
+
+
+def test_batched_gd_returns_thetas_and_reports():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(2, 5, 2))
+    y = np.where(rng.random((2, 5)) < 0.5, -1.0, 1.0)
+    thetas, reports = _batched_gd(X, y, TrainConfig(max_iterations=3))
+    assert isinstance(thetas, np.ndarray) and thetas.shape == (2, 2)
+    assert isinstance(reports, list) and len(reports) == 2
+    for r in reports:
+        assert isinstance(r, ConvergenceReport)
+        # plain Python values: the bench sums them into JSON
+        assert type(r.converged) is bool and type(r.iterations) is int
+        assert type(r.grad_norm) is float
 
 
 def test_probe_kernels_resolve():
