@@ -262,20 +262,18 @@ def cmd_synth(args) -> int:
 
 
 def _floor_grid(alpha0) -> List[float]:
-    """Tuning grid {alpha0, alpha0 + 0.25, ..., 64, inf} of the gradient floor ({inf} above 64)."""
-    return list(np.arange(alpha0, 64.0 + 1e-9, 0.25)) + [np.inf]
+    """Tuning grid {alpha0, alpha0 + 0.25, ..., max(alpha0, 64), inf} of the gradient floor."""
+    return list(np.arange(alpha0, max(alpha0, 64.0) + 1e-9, 0.25)) + [np.inf]
 
 
 def _gradient_floor(thetas, data, alpha0) -> Tuple[np.ndarray, np.ndarray]:
     """Gradient norms at alpha0 and a lower bound on them over alpha' >= alpha0.
 
-    One gradient pass covers alpha0 and the ``_floor_grid`` grid, which starts
-    at alpha0 unless alpha0 > 64; the bound is 0.95 x the grid minimum, per theta.
+    One gradient pass covers the ``_floor_grid`` grid, which starts at
+    alpha0; the bound is 0.95 x the grid minimum, per theta.
     """
-    grid = _floor_grid(alpha0)
-    head = [] if grid[0] == alpha0 else [alpha0]
-    norms = np.linalg.norm(logistic.risk_gradients(thetas, data, head + grid), axis=2)
-    return norms[0], 0.95 * norms[len(head):].min(axis=0)
+    norms = np.linalg.norm(logistic.risk_gradients(thetas, data, _floor_grid(alpha0)), axis=2)
+    return norms[0], 0.95 * norms.min(axis=0)
 
 
 def _check_certificates(oracle, thetas, theta0, certs) -> Dict[int, slqc.SlqcCheck]:

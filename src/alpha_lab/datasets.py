@@ -11,13 +11,15 @@ Features are optionally mapped to [0,1]^d through the fixed clipping box
 ``CLIP_BOX`` (the same affine map for train and test); raw-coordinate
 datasets carry ``normalized=False`` and skip the unit-box invariant.
 
-Importing this module loads numpy only; ``scipy.special`` on first use by
-``gaussian_linear_error``, ``scipy.optimize`` by the fallback of
-``bayes_direction`` and ``scipy.stats`` by the grid of ``bayes_risk``.
+Importing this module loads numpy only, and ``gaussian_linear_error``
+takes its Gaussian tails from ``math.erfc``; ``scipy.optimize`` loads on
+first use by the fallback of ``bayes_direction`` and ``scipy.stats`` by
+the grid of ``bayes_risk``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -29,6 +31,7 @@ CLIP_BOX = (-6.0, 6.0)
 BAYES_ANGLE_STEP_DEG = 0.25
 BAYES_GRID_STEP = 0.01
 BAYES_GRID_HALFWIDTH = 8.0
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -233,8 +236,6 @@ def gaussian_linear_error(spec: GmmSpec, w, offset: float = 0.0) -> float:
     w = np.asarray(w, dtype=float)
     if not np.any(w != 0.0):
         raise ValueError("direction must be nonzero")
-    from scipy.special import ndtr
-
     err = 0.0
     for prior, mean, cov, label in (
         (spec.prior_minus, spec.mean_minus, spec.cov_minus, -1),
@@ -245,11 +246,11 @@ def gaussian_linear_error(spec: GmmSpec, w, offset: float = 0.0) -> float:
         if s == 0.0:
             wrong = (m >= offset) if label == -1 else (m < offset)
             err += prior * float(wrong)
-        elif label == -1:
-            err += prior * ndtr(-((offset - m) / s))
         else:
-            err += prior * ndtr((offset - m) / s)
-    return float(err)
+            # the wrong side's mass Phi(label * u), u = (offset - m) / s,
+            # as Phi(x) = erfc(-x / sqrt 2) / 2
+            err += prior * (0.5 * math.erfc(-label * ((offset - m) / s) / _SQRT2))
+    return err
 
 
 def bayes_direction(spec: GmmSpec):

@@ -8,7 +8,8 @@ Hessian, 1/alpha-Lipschitz constants, ball-sampler, population-risk and
 Gaussian-error forms, sharing no code path with the library formulas
 they check.  The mpmath references evaluate the same
 quantities at 60 significant digits and round once to float64;
-``mp_exact`` returns such a value unrounded.
+``mp_exact`` returns such a value unrounded, and so does
+``mp_gaussian_linear_error`` for its Gaussian tails.
 """
 
 import functools
@@ -457,6 +458,37 @@ def seed_gaussian_linear_error(spec, w, offset=0.0):
         else:
             err += prior * norm.cdf((offset - m) / s)
     return float(err)
+
+
+def mp_gaussian_linear_error(spec, w, offset=0.0):
+    """The two terms (prior, u, tail) of the 0-1 risk of predict +1 iff
+    <w, x> >= offset, minus class first.
+
+    The projected mean m and spread s are taken in floats as the library
+    takes them; u = (offset - m) / s and the wrong side's Gaussian mass,
+    Phi(-u) for the minus class and Phi(u) for the plus class, are exact
+    at MP_DPS digits and not rounded.  A class with s = 0 is a point mass:
+    its u is None and its tail 0 or 1.
+    """
+    w = np.asarray(w, dtype=float)
+    terms = []
+    with mpmath.workdps(MP_DPS):
+        for prior, mean, cov, sign in (
+            (spec.prior_minus, spec.mean_minus, spec.cov_minus, -1),
+            (1.0 - spec.prior_minus, spec.mean_plus, spec.cov_plus, 1),
+        ):
+            m = float(w @ mean)
+            s = float(np.sqrt(max(w @ cov @ w, 0.0)))
+            if s == 0.0:
+                wrong = m >= offset if sign == -1 else m < offset
+                terms.append((prior, None, mpmath.mpf(int(wrong))))
+            else:
+                u = (mpmath.mpf(offset) - mpmath.mpf(m)) / mpmath.mpf(s)
+                # mpmath's erfc overflows near |u| = 1e154; beyond 1e6 the
+                # tail is 1 at MP_DPS digits or below e^(-5e11), taken as 0
+                tail = mpmath.ncdf(sign * u) if abs(u) <= 1e6 else mpmath.mpf(int(sign * u > 0))
+                terms.append((prior, u, tail))
+    return terms
 
 
 def _mp_float(fn):

@@ -14,7 +14,7 @@ from alpha_lab.datasets import GmmSpec, sample_gmm
 from alpha_lab.slqc import SlqcCertificate, check_slqc_at, risk_oracle, sample_audit_points
 from alpha_lab.training import TrainConfig, saturation_report, train_gd
 
-from oracles import agrees_with_frozen, seed_gradient_floor
+from oracles import agrees_with_frozen, seed_gradient_floor, seed_risk_gradient_batch
 
 
 def read_csv(path):
@@ -108,12 +108,11 @@ def test_import_loads_no_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(proc.stdout)
     assert got["rcs"] == [0] * 7
-    # the import, and synth, slqc-audit, landscape and bounds, load no scipy module
+    # the import, and synth, slqc-audit, landscape, bounds, trend (its
+    # Gaussian tails come from math.erfc) and a tilt of a pmf file, load no
+    # scipy module
     assert got["at_import"] == [] and got["after_runs"] == []
-    # trend's Gaussian tails load scipy.special and not scipy.stats or
-    # scipy.optimize; a tilt of a pmf file loads nothing more
-    assert "scipy.special" in got["after_trend"] and got["after_tilt"] == got["after_trend"]
-    assert not any(m.startswith(("scipy.stats", "scipy.optimize")) for m in got["after_tilt"])
+    assert got["after_trend"] == [] and got["after_tilt"] == []
     # the lazy imports still work: the unequal-covariance fallback loads
     # scipy.optimize (and not scipy.stats), a binomial tilt loads scipy.stats
     assert "scipy.optimize" in got["after_fallback"]
@@ -446,18 +445,38 @@ def test_gradient_floor_bit_identical_to_seed_form():
     spec = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
     for seed in range(3):
         data = sample_gmm(spec, 500, seed=(seed, 11), normalize=True)
+        y = data.y.astype(float)
         for radius in (0.2, 1.0):
             thetas = sample_audit_points(2, radius, 32, seed=(seed, 12))
             for alpha0 in (1.0, 1.5, 64.0, 100.0):
-                ref = seed_gradient_floor(thetas, data.X, data.y.astype(float), alpha0)
+                ref = seed_gradient_floor(thetas, data.X, y, alpha0)
+                if alpha0 > 64.0:
+                    # above 64 the frozen grid is {inf} alone; the
+                    # library's grid also holds alpha0
+                    at_alpha0 = seed_risk_gradient_batch(thetas, data.X, y, alpha0)
+                    ref = np.minimum(ref, 0.95 * np.linalg.norm(at_alpha0, axis=1))
                 assert agrees_with_frozen(cli._gradient_floor(thetas, data, alpha0)[1], ref).all()
+
+
+@pytest.mark.parametrize("alpha0", [65.0, 100.0])
+def test_gradient_floor_is_below_the_norm_at_alpha0_above_64(alpha0):
+    # a lower bound over alpha' >= alpha0 cannot exceed 0.95 x the norm at
+    # alpha0; a grid of {inf} alone broke this at 234 of 512 points per seed
+    # at alpha0 = 65
+    spec = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
+    for seed in range(2):
+        data = sample_gmm(spec, 500, seed=(seed, 11), normalize=True)
+        thetas = sample_audit_points(2, 5.0, 512, seed=(seed, 12))
+        grad0, floor = cli._gradient_floor(thetas, data, alpha0)
+        assert (floor <= 0.95 * grad0).all()
+    assert cli._floor_grid(alpha0) == [alpha0, np.inf]
 
 
 def test_gradient_floor_norms_at_alpha0_are_the_batch_gradient_norms():
     spec = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
     data = sample_gmm(spec, 500, seed=(0, 11), normalize=True)
     thetas = sample_audit_points(2, 1.0, 32, seed=(0, 12))
-    # 64 is the grid's last finite value; above it the grid is {inf} alone
+    # 64 is the grid's last finite value; above it the grid is {alpha0, inf}
     for alpha0 in (1.0, 1.5, 64.0, 64.1, 100.0):
         ref = np.linalg.norm(logistic.risk_gradient_batch(thetas, data, alpha0), axis=1)
         assert cli._gradient_floor(thetas, data, alpha0)[0].tobytes() == ref.tobytes()
