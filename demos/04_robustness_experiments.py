@@ -17,9 +17,9 @@ SCENARIOS = {
     "clean balanced": CorruptionSpec(class_counts=(50, 50)),
 }
 
-config = TrainConfig(seed=11, max_iterations=60_000)
+config = TrainConfig(max_iterations=60_000)
 for name, corruption in SCENARIOS.items():
-    summary = run_synthetic_experiment(SPEC, corruption, [0.65, 1.0, 4.0], 20, config)
+    summary = run_synthetic_experiment(SPEC, corruption, [0.65, 1.0, 4.0], 20, config, seed=11)
     print(name)
     for i, a in enumerate(summary.alphas):
         print(

@@ -32,7 +32,7 @@ R = 1.0
 data = sample_gmm(GmmSpec.symmetric(), 500, seed=3, normalize=True)
 alpha0 = 1.0
 kappa0 = theta_lipschitz_constant(alpha0, R, 2)
-theta0, report = train_gd(data, TrainConfig(alpha=alpha0, radius=R, seed=3))
+theta0, report = train_gd(data, TrainConfig(alpha=alpha0, radius=R))
 print(f"reference point: trained log-loss minimizer {np.round(theta0.theta, 4)} "
       f"({report.cause} after {report.iterations} iterations)")
 

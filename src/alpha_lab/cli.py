@@ -12,9 +12,10 @@ trend       excess 0-1 risk of trained predictors across sample sizes
 Every output CSV starts with '#'-prefixed manifest comments (subcommand,
 config, seed, version, timestamp).  Bodies are deterministic under a
 fixed seed for one version, numpy build and CPU dispatch level;
-timestamps live only in the comments.  Exit codes: 0 success,
-2 configuration error, 3 numeric failure (including np.linalg.LinAlgError),
-4 audit violation under --strict.
+timestamps live only in the comments.  Each ``cmd_*`` returns None or
+an audit violation message.  Exit codes: 0 success, 2 configuration error
+(including unreadable inputs and unwritable outputs), 3 numeric failure
+(including np.linalg.LinAlgError), 4 audit violation under --strict.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +77,8 @@ def _fmt(x) -> str:
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return ",".join(_fmt(v) for v in x)
     return str(x)
 
 
@@ -96,12 +99,16 @@ def parse_alpha_list(raw: str) -> List[float]:
     return vals
 
 
-def load_gmm(path: str) -> GmmSpec:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read GMM config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_gmm(path: str) -> GmmSpec:
+    cfg = _read_json(path, "GMM config")
     try:
         return GmmSpec(
             prior_minus=float(cfg["prior_minus"]),
@@ -115,14 +122,14 @@ def load_gmm(path: str) -> GmmSpec:
 
 
 def write_csv(path: str, manifest: Dict[str, object], header: Sequence[str], rows) -> None:
-    """Atomic CSV write: manifest comments, header row, 17-digit floats."""
+    """Atomic CSV write: manifest comments, header row, rows; every value through ``_fmt``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             for key, val in manifest.items():
-                fh.write(f"# {key}: {val}\n")
+                fh.write(f"# {key}: {_fmt(val)}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
@@ -133,15 +140,22 @@ def write_csv(path: str, manifest: Dict[str, object], header: Sequence[str], row
         raise
 
 
-def _manifest(args, subcommand: str, config: str = "-") -> Dict[str, object]:
+def _manifest(args, subcommand: str, config: str, **entries) -> Dict[str, object]:
+    """The run's identity, then the subcommand's ``entries`` in order."""
     return {
         "subcommand": subcommand,
         "config": config,
-        "seed": getattr(args, "seed", "-"),
-        "out": getattr(args, "out", "-"),
+        "seed": args.seed,
+        "out": args.out,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        **entries,
     }
+
+
+def _gd_counts(converged, capped, iterations) -> Dict[str, object]:
+    """Per-arm GD counts: runs that met the stop rule, runs at the cap, row iterations."""
+    return {"converged_runs": converged, "capped_runs": capped, "gd_row_iterations": iterations}
 
 
 def _pmf_from_source(source: str) -> np.ndarray:
@@ -167,11 +181,11 @@ def _pmf_from_source(source: str) -> np.ndarray:
         else:
             masses = [float(tok) for tok in text.replace(",", " ").split()]
         return as_pmf(masses)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"malformed pmf in {source}: {exc}") from exc
 
 
-def cmd_tilt(args) -> int:
+def cmd_tilt(args) -> None:
     pmf = _pmf_from_source(args.pmf)
     alphas = parse_alpha_list(args.alphas)
     columns = [tilt_posterior(pmf, a) for a in alphas]
@@ -180,10 +194,9 @@ def cmd_tilt(args) -> int:
         [i, pmf[i]] + [col[i] for col in columns] for i in range(pmf.size)
     ]
     write_csv(args.out, _manifest(args, "tilt", args.pmf), header, rows)
-    return EXIT_OK
 
 
-def cmd_landscape(args) -> int:
+def cmd_landscape(args) -> Optional[str]:
     spec = load_gmm(args.gmm)
     alpha = parse_alpha(args.alpha)
     data = sample_gmm(spec, args.n, seed=(args.seed, 1), normalize=True)
@@ -192,43 +205,34 @@ def cmd_landscape(args) -> int:
         axis, risks, saturation = saturation_report(data, args.radius, args.grid, alpha)
     else:
         axis, (risks,) = landscape_grid(data, [alpha], args.radius, args.grid)
-    manifest = _manifest(args, "landscape", args.gmm)
-    manifest["alpha"] = _fmt(alpha)
-    manifest["grid"] = args.grid
-    manifest["radius"] = _fmt(args.radius)
-    manifest["single_basin"] = _fmt(single_basin(risks))
-    for key, val in (saturation or {}).items():
-        manifest[key] = _fmt(val)
+    manifest = _manifest(
+        args, "landscape", args.gmm, alpha=alpha, grid=args.grid, radius=args.radius,
+        single_basin=single_basin(risks), **(saturation or {}),
+    )
     rows = []
     for i, t1 in enumerate(axis):
         for j, t2 in enumerate(axis):
             rows.append([t1, t2, risks[i, j]])
     write_csv(args.out, manifest, ["theta1", "theta2", "risk"], rows)
-    if args.strict and saturation is not None and not (
-        saturation["value_ok"] and saturation["grad_ok"]
-    ):
-        print("saturation audit violation", file=sys.stderr)
-        return EXIT_AUDIT
-    return EXIT_OK
+    if saturation is not None and not (saturation["value_ok"] and saturation["grad_ok"]):
+        return "saturation audit violation"
+    return None
 
 
-def cmd_synth(args) -> int:
-    if args.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {args.scenario!r}; pick one of {sorted(SCENARIOS)}")
+def cmd_synth(args) -> None:
     spec = GmmSpec.symmetric()
     corruption = SCENARIOS[args.scenario]
     alphas = parse_alpha_list(args.alphas)
-    config = TrainConfig(seed=args.seed)
-    summary = run_synthetic_experiment(spec, corruption, alphas, args.runs, config)
+    summary = run_synthetic_experiment(spec, corruption, alphas, args.runs, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    manifest = _manifest(args, "synth", args.scenario)
-    manifest["runs"] = args.runs
-    manifest["converged_runs"] = ",".join(str(int(c)) for c in summary.run_converged.sum(axis=1))
-    manifest["capped_runs"] = ",".join(str(int(c)) for c in (~summary.run_converged).sum(axis=1))
-    manifest["gd_row_iterations"] = ",".join(str(int(c)) for c in summary.run_iterations.sum(axis=1))
+    conv = summary.run_converged
+    manifest = _manifest(
+        args, "synth", args.scenario, runs=args.runs,
+        **_gd_counts(conv.sum(axis=1), (~conv).sum(axis=1), summary.run_iterations.sum(axis=1)),
+    )
     rows = [
         [
-            _fmt(a),
+            a,
             summary.angles_degrees[i],
             summary.accuracy_minus[i],
             summary.accuracy_plus[i],
@@ -249,16 +253,13 @@ def cmd_synth(args) -> int:
     run_rows = []
     for i, a in enumerate(summary.alphas):
         for r in range(summary.runs):
-            run_rows.append(
-                [_fmt(a), r, int(summary.run_converged[i, r])] + list(summary.run_thetas[i, r])
-            )
+            run_rows.append([a, r, int(conv[i, r])] + list(summary.run_thetas[i, r]))
     write_csv(
         os.path.join(args.out, "predictors.csv"),
         manifest,
         ["alpha", "run", "converged", "theta1", "theta2"],
         run_rows,
     )
-    return EXIT_OK
 
 
 def _floor_grid(alpha0) -> List[float]:
@@ -285,7 +286,7 @@ def _check_certificates(oracle, thetas, theta0, certs) -> Dict[int, slqc.SlqcChe
     return dict(zip(idx, slqc.check_slqc_points(oracle, thetas[idx], theta0, eps, eps / kappa)))
 
 
-def cmd_slqc_audit(args) -> int:
+def cmd_slqc_audit(args) -> Optional[str]:
     spec = load_gmm(args.gmm)
     alpha0 = parse_alpha(args.alpha0)
     if not (alpha0 >= 1.0 and np.isfinite(alpha0)):
@@ -298,8 +299,7 @@ def cmd_slqc_audit(args) -> int:
     if not 0.0 < args.radius < math.inf:
         raise ConfigError(f"radius must be finite and positive, got {args.radius}")
     data = sample_gmm(spec, args.n, seed=(args.seed, 11), normalize=True)
-    config = TrainConfig(alpha=alpha0, radius=args.radius, seed=args.seed)
-    theta0, report0 = train_gd(data, config)
+    theta0, report0 = train_gd(data, TrainConfig(alpha=alpha0, radius=args.radius))
     kappa0 = logistic.theta_lipschitz_constant(alpha0, args.radius, spec.dim)
     rho0 = args.eps0 / kappa0
     thetas = slqc.sample_audit_points(spec.dim, args.radius, args.samples, seed=(args.seed, 12))
@@ -348,19 +348,15 @@ def cmd_slqc_audit(args) -> int:
                 boot_verdict = boot_checks[i].verdict.value
                 boot_eps, boot_kappa = booted[i]
             rows.append([
-                _fmt(target), i, verdict, eps_s, kappa_s, rho_s, sups[i],
+                target, i, verdict, eps_s, kappa_s, rho_s, sups[i],
                 boot_verdict, boot_eps, boot_kappa, detail,
             ])
-    manifest = _manifest(args, "slqc-audit", args.gmm)
-    manifest["alpha0"] = _fmt(alpha0)
-    manifest["eps0"] = _fmt(args.eps0)
-    manifest["kappa0"] = _fmt(kappa0)
-    manifest["theta0_converged"] = _fmt(report0.converged)
-    manifest["theta0_iterations"] = report0.iterations
-    manifest["theta0_stop_statistic"] = _fmt(report0.grad_norm)
-    manifest["gradient_floor_alphas"] = len(_floor_grid(alpha0))
-    manifest["descent_checks"] = ",".join(str(c) for c in descent_checks)
-    manifest["violations"] = violations
+    manifest = _manifest(
+        args, "slqc-audit", args.gmm, alpha0=alpha0, eps0=args.eps0, kappa0=kappa0,
+        theta0_converged=report0.converged, theta0_iterations=report0.iterations,
+        theta0_stop_statistic=report0.grad_norm, gradient_floor_alphas=len(_floor_grid(alpha0)),
+        descent_checks=descent_checks, violations=violations,
+    )
     write_csv(
         args.out,
         manifest,
@@ -368,10 +364,7 @@ def cmd_slqc_audit(args) -> int:
          "admissible_sup", "boot_verdict", "boot_eps", "boot_kappa", "detail"],
         rows,
     )
-    if args.strict and violations:
-        print(f"{violations} certificate violations", file=sys.stderr)
-        return EXIT_AUDIT
-    return EXIT_OK
+    return f"{violations} certificate violations" if violations else None
 
 
 def _parse_query(item) -> BoundQuery:
@@ -387,14 +380,14 @@ def _parse_query(item) -> BoundQuery:
         raise ConfigError(f"invalid bound query entry {item!r}: {exc}") from exc
 
 
-def cmd_bounds(args) -> int:
-    try:
-        with open(args.query) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read bound query {args.query}: {exc}") from exc
+def cmd_bounds(args) -> Optional[str]:
+    payload = _read_json(args.query, "bound query")
     if isinstance(payload, dict):
         payload = [payload]
+    if not (isinstance(payload, list) and payload and all(isinstance(q, dict) for q in payload)):
+        raise ConfigError(
+            f"bound query {args.query} must hold an object or a non-empty list of objects"
+        )
     queries = [_parse_query(item) for item in payload]
     audit_spec = load_gmm(args.gmm) if args.gmm else None
     audits = [None] * len(queries)
@@ -417,13 +410,11 @@ def cmd_bounds(args) -> int:
         if audit is not None:
             measured, frac = float(audit.measured.max()), audit.pass_fraction
             all_passed &= frac >= 1.0 - q.delta
-        rows.append([
-            _fmt(q.alpha), q.r, q.d, q.n, q.delta, rad, unif, measured, frac,
-        ])
-    manifest = _manifest(args, "bounds", args.query)
-    manifest["pop_samples"] = args.pop_samples if passes else 0
-    manifest["population_passes"] = passes
-    manifest["population_margins"] = passes * AUDIT_THETAS * args.pop_samples
+        rows.append([q.alpha, q.r, q.d, q.n, q.delta, rad, unif, measured, frac])
+    manifest = _manifest(
+        args, "bounds", args.query, pop_samples=args.pop_samples if passes else 0,
+        population_passes=passes, population_margins=passes * AUDIT_THETAS * args.pop_samples,
+    )
     write_csv(
         args.out,
         manifest,
@@ -431,13 +422,10 @@ def cmd_bounds(args) -> int:
          "uniform_discrepancy_bound", "measured_sup_gap", "audit_pass_fraction"],
         rows,
     )
-    if args.strict and audit_spec is not None and not all_passed:
-        print("bound audit violation", file=sys.stderr)
-        return EXIT_AUDIT
-    return EXIT_OK
+    return None if all_passed else "bound audit violation"
 
 
-def cmd_trend(args) -> int:
+def cmd_trend(args) -> Optional[str]:
     from .bounds import optimality_trend
 
     spec = load_gmm(args.gmm)
@@ -446,21 +434,17 @@ def cmd_trend(args) -> int:
     if not ns:
         raise ConfigError("empty sample-size list")
     result = optimality_trend(spec, alpha, ns, args.runs, seed=args.seed)
-    manifest = _manifest(args, "trend", args.gmm)
-    manifest["alpha"] = _fmt(alpha)
-    manifest["bayes_risk"] = _fmt(result.bayes)
-    manifest["note"] = result.conditional
-    manifest["converged_runs"] = ",".join(str(int(c)) for c in result.converged)
-    manifest["capped_runs"] = ",".join(str(int(c)) for c in result.capped)
-    manifest["gd_row_iterations"] = ",".join(str(int(c)) for c in result.iterations)
+    manifest = _manifest(
+        args, "trend", args.gmm, alpha=alpha, bayes_risk=result.bayes, note=result.conditional,
+        **_gd_counts(result.converged, result.capped, result.iterations),
+    )
     rows = [
         [n, result.mean_gap[i], result.se_gap[i]] for i, n in enumerate(result.ns)
     ]
     write_csv(args.out, manifest, ["n", "mean_gap", "se_gap"], rows)
-    if args.strict and not result.non_increasing_within_se():
-        print("trend audit violation: gap not non-increasing within 1 SE", file=sys.stderr)
-        return EXIT_AUDIT
-    return EXIT_OK
+    if not result.non_increasing_within_se():
+        return "trend audit violation: gap not non-increasing within 1 SE"
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,35 +453,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tunable-loss classification experiments and audits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--out", required=True)
+    audited = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    audited.add_argument("--strict", action="store_true", help="exit 4 on an audit violation")
 
-    p = sub.add_parser("tilt", help="tilted posteriors of a pmf")
+    p = sub.add_parser("tilt", help="tilted posteriors of a pmf", parents=[seeded])
     p.add_argument("--pmf", required=True, help="pmf file or binomial:n,p")
     p.add_argument("--alphas", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_tilt)
 
-    p = sub.add_parser("landscape", help="risk grid over the parameter plane")
+    p = sub.add_parser("landscape", help="risk grid over the parameter plane", parents=[audited])
     p.add_argument("--gmm", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=51)
     p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--compare-infinity", action="store_true")
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_landscape)
 
-    p = sub.add_parser("synth", help="imbalance/noise/clean training experiments")
+    p = sub.add_parser("synth", help="imbalance/noise/clean training experiments",
+                       parents=[seeded])
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     p.add_argument("--alphas", default="0.65,1,4")
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("slqc-audit", help="pointwise certificate sweep")
+    p = sub.add_parser("slqc-audit", help="pointwise certificate sweep", parents=[audited])
     p.add_argument("--gmm", required=True)
     p.add_argument("--alpha0", default="1")
     p.add_argument("--targets", required=True)
@@ -505,45 +488,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--eps0", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_slqc_audit)
 
-    p = sub.add_parser("bounds", help="generalization bound values")
-    p.add_argument("--query", required=True, help="JSON object or list of objects")
+    p = sub.add_parser("bounds", help="generalization bound values", parents=[audited])
+    p.add_argument("--query", required=True, help="JSON object or non-empty list of objects")
     p.add_argument("--gmm", default=None, help="enable the empirical audit columns")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--pop-samples", type=int, default=200_000)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("trend", help="excess 0-1 risk across sample sizes")
+    p = sub.add_parser("trend", help="excess 0-1 risk across sample sizes", parents=[audited])
     p.add_argument("--gmm", required=True)
     p.add_argument("--alpha", default="1")
     p.add_argument("--ns", required=True)
     p.add_argument("--runs", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_trend)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; only ``main`` turns a violation message into exit 4."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        violation = args.func(args)
     # LinAlgError subclasses ValueError, so its arm must come first
     except (FloatingPointError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ValueError, KeyError, IndexError) as exc:
+    except (ConfigError, OSError, ValueError, KeyError, IndexError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if violation and getattr(args, "strict", False):
+        print(violation, file=sys.stderr)
+        return EXIT_AUDIT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

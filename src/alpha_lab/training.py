@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,18 +50,13 @@ TRAIN_POOL = 400  # training samples drawn per run, before corruption
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of full-batch gradient descent.
-
-    ``seed`` is the master seed of ``run_synthetic_experiment``'s draws;
-    ``train_gd`` draws nothing and ignores it.
-    """
+    """Hyperparameters of full-batch gradient descent."""
 
     alpha: float = 1.0
     learning_rate: float = 0.01
     optimality_parameter: float = 1e-4
     max_iterations: int = 200_000
     radius: float = np.inf
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.learning_rate > 0.0 and self.optimality_parameter > 0.0):
@@ -379,12 +374,13 @@ def run_synthetic_experiment(
     corruption: CorruptionSpec,
     alphas: Sequence[float],
     runs: int,
-    config: TrainConfig,
+    config: Optional[TrainConfig] = None,
+    seed: int = 0,
 ) -> ExperimentSummary:
     """Seeded draw/corrupt/train loop with cross-run predictor averaging.
 
     Every run draws ``TRAIN_POOL`` fresh samples (seed derived from the
-    master seed and the run index), corrupts them, and trains one
+    master ``seed`` and the run index), corrupts them, and trains one
     predictor per alpha on the same corrupted sample.  Test accuracy is
     measured for the mean predictor over runs on a fresh clean balanced
     test set of ``TEST_PER_CLASS`` samples per class, whatever the corruption.
@@ -392,19 +388,19 @@ def run_synthetic_experiment(
     if runs < 1:
         raise ValueError("need at least one run")
     alphas = [canon_alpha(a) for a in alphas]
-    master = config.seed
+    config = config or TrainConfig()
 
     datasets = []
     for r in range(runs):
-        pool = sample_gmm(spec, TRAIN_POOL, seed=(master, _STREAM_DATA, r))
-        datasets.append(corrupt(pool, corruption, seed=(master, _STREAM_CORRUPT, r)))
+        pool = sample_gmm(spec, TRAIN_POOL, seed=(seed, _STREAM_DATA, r))
+        datasets.append(corrupt(pool, corruption, seed=(seed, _STREAM_CORRUPT, r)))
     sizes = {d.n for d in datasets}
     if len(sizes) != 1:
         raise ValueError("corruption produced runs of unequal size; fix class_counts")
     X = np.stack([d.X for d in datasets])
     y = np.stack([d.y for d in datasets]).astype(float)
 
-    test = sample_balanced_gmm(spec, TEST_PER_CLASS, seed=(master, _STREAM_TEST))
+    test = sample_balanced_gmm(spec, TEST_PER_CLASS, seed=(seed, _STREAM_TEST))
     bayes_w, _ = bayes_direction(spec)
 
     A = len(alphas)

@@ -269,7 +269,7 @@ def test_criterion_09_bootstrap_consistency():
         # (c) evolved certificates pass the pointwise check at 512 samples;
         # admissible widths scale with the local gradient norm, so the
         # targets sit just above alpha0
-        config = TrainConfig(alpha=alpha0, radius=r, seed=9)
+        config = TrainConfig(alpha=alpha0, radius=r)
         theta0, _ = al.train_gd(data, config)
         eps0_c = 0.05
         thetas = al.sample_audit_points(2, r, budget=512, seed=91)
@@ -305,7 +305,7 @@ def _corruption_experiments():
     # saturating members under corruption push the iterate norm out
     # slowly, so the gradient-tolerance stop is backed by a fixed cap;
     # termination causes are recorded per run
-    config = TrainConfig(seed=310, max_iterations=120_000)
+    config = TrainConfig(max_iterations=120_000)
     alphas = [0.65, 1.0, 4.0]
     out = {}
     for name, corruption in (
@@ -314,7 +314,7 @@ def _corruption_experiments():
         ("clean", CorruptionSpec(class_counts=(50, 50))),
     ):
         out[name] = run_synthetic_experiment(
-            SYMMETRIC, corruption, alphas, runs=100, config=config
+            SYMMETRIC, corruption, alphas, runs=100, config=config, seed=310
         )
     return out
 

@@ -424,7 +424,7 @@ def recheck_audit_rows(header, rows, n, samples, radius, seed):
     """Check each row's certificates pointwise; returns descent checks per target."""
     spec = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
     data = sample_gmm(spec, n, seed=(seed, 11), normalize=True)
-    theta0, _ = train_gd(data, TrainConfig(alpha=1.0, radius=radius, seed=seed))
+    theta0, _ = train_gd(data, TrainConfig(alpha=1.0, radius=radius))
     thetas = sample_audit_points(2, radius, samples, seed=(seed, 12))
     col = {name: header.index(name) for name in header}
     descent = {}
@@ -500,3 +500,168 @@ def test_alpha_literal_inf(tmp_path):
     assert header[-1] == "alpha_inf"
     col = np.array([float(r[-1]) for r in rows])
     assert col.max() == 1.0  # point mass on the mode
+
+
+@pytest.mark.parametrize("payload", [5, None, [], [5]])
+@pytest.mark.parametrize("strict", [False, True])
+def test_bounds_rejects_a_query_that_is_not_objects(tmp_path, capsys, payload, strict):
+    # anything but an object or a non-empty list of objects is a
+    # configuration error; an empty list would report an audit of nothing
+    # as clean
+    query = tmp_path / "q.json"
+    query.write_text(json.dumps(payload))
+    out = tmp_path / "bounds.csv"
+    rc = main(["bounds", "--query", str(query), "--out", str(out)] + ["--strict"] * strict)
+    assert rc == 2
+    assert "must hold an object or a non-empty list of objects" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tilt_pmf_of_objects_is_a_config_error(tmp_path, capsys):
+    pmf = tmp_path / "pmf.json"
+    pmf.write_text(json.dumps([{"a": 1}]))
+    rc = main(["tilt", "--pmf", str(pmf), "--alphas", "1", "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert f"configuration error: malformed pmf in {pmf}" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    tilt = ["tilt", "--pmf", "binomial:4,0.3", "--alphas", "1", "--out"]
+    # a file where the output directory should be, for a CSV and for synth
+    assert main(tilt + [str(blocker / "x.csv")]) == 2
+    assert main(["synth", "--scenario", "clean", "--alphas", "1", "--runs", "1",
+                 "--out", str(blocker)]) == 2
+    # a directory where the CSV should be: the rename fails after the write
+    assert main(tilt + [str(directory)]) == 2
+    assert capsys.readouterr().err.count("configuration error: [Errno") == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]  # no temporary file left
+    assert not any(directory.iterdir())
+
+
+AUDITED = {
+    "landscape": ["--gmm", "g.json", "--alpha", "1"],
+    "slqc-audit": ["--gmm", "g.json", "--targets", "1.5"],
+    "bounds": ["--query", "q.json"],
+    "trend": ["--gmm", "g.json", "--ns", "50"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(AUDITED))
+@pytest.mark.parametrize("strict", [False, True])
+def test_main_alone_turns_a_violation_into_exit_4(tmp_path, monkeypatch, capsys, command, strict):
+    func = "cmd_" + command.replace("-", "_")
+    argv = [command, *AUDITED[command], "--out", str(tmp_path / "x.csv")] + ["--strict"] * strict
+    monkeypatch.setattr(cli, func, lambda args: f"{args.command} violation")
+    assert main(argv) == (4 if strict else 0)
+    assert capsys.readouterr().err == (f"{command} violation\n" if strict else "")
+    monkeypatch.setattr(cli, func, lambda args: None)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["tilt", "--pmf", "binomial:4,0.3", "--alphas", "1"],
+    ["synth", "--scenario", "clean"],
+])
+def test_tilt_and_synth_reject_strict(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x"), "--strict"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
+OPTIONS = {
+    "tilt": {"--pmf", "--alphas"},
+    "landscape": {"--gmm", "--alpha", "--radius", "--grid", "--n", "--compare-infinity",
+                  "--strict"},
+    "synth": {"--scenario", "--alphas", "--runs"},
+    "slqc-audit": {"--gmm", "--alpha0", "--targets", "--samples", "--n", "--radius", "--eps0",
+                   "--strict"},
+    "bounds": {"--query", "--gmm", "--trials", "--pop-samples", "--strict"},
+    "trend": {"--gmm", "--alpha", "--ns", "--runs", "--strict"},
+}
+
+
+def test_each_subcommand_has_its_options_and_the_shared_pair(tmp_path):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.choices).choices
+    assert set(commands) == set(OPTIONS)
+    for name, sub in commands.items():
+        got = {opt for action in sub._actions for opt in action.option_strings}
+        assert got == OPTIONS[name] | {"-h", "--help", "--seed", "--out"}, name
+        with pytest.raises(SystemExit):  # --out stays required
+            parser.parse_args([name, *AUDITED.get(name, [])])
+
+
+# Manifest lines after the shared head (subcommand, config, seed, out,
+# version, timestamp) at seed 1 on the write_gmm mixture, frozen from
+# version 0.4.0: floats with 17 significant digits, flags as true/false,
+# per-arm counts comma-separated.  NEAR values come from numpy's vectorized
+# exp/log1p passes, whose last digits may move with the CPU dispatch level.
+TINY_RUNS = {
+    "tilt": (["--pmf", "binomial:4,0.3", "--alphas", "1"], "binomial:4,0.3", []),
+    "landscape": (
+        ["--gmm", "{gmm}", "--alpha", "10", "--grid", "3", "--n", "50", "--compare-infinity"],
+        "{gmm}",
+        [("alpha", "10"), ("grid", "3"), ("radius", "1"), ("single_basin", "true"),
+         ("max_value_gap", "0.022813608959244447"), ("max_value_bound", "0.2261911382079608"),
+         ("max_grad_gap", "0.0079115199548332217"), ("max_grad_bound", "0.26493763417914745"),
+         ("value_ok", "true"), ("grad_ok", "true")],
+    ),
+    "synth": (
+        ["--scenario", "imbalance", "--alphas", "0.65,1", "--runs", "1"],
+        "imbalance",
+        [("runs", "1"), ("converged_runs", "1,1"), ("capped_runs", "0,0"),
+         ("gd_row_iterations", "4884,15671")],
+    ),
+    "slqc-audit": (
+        ["--gmm", "{gmm}", "--targets", "1.0002,1.001", "--samples", "8", "--n", "100",
+         "--radius", "0.2", "--eps0", "0.005"],
+        "{gmm}",
+        [("alpha0", "1"), ("eps0", "0.0050000000000000001"), ("kappa0", "0.80644540502570949"),
+         ("theta0_converged", "true"), ("theta0_iterations", "341"),
+         ("theta0_stop_statistic", "4.4296528148022635e-05"), ("gradient_floor_alphas", "254"),
+         ("descent_checks", "16,9"), ("violations", "0")],
+    ),
+    "bounds": (
+        ["--query", "{query}", "--gmm", "{gmm}", "--trials", "1", "--pop-samples", "1000"],
+        "{query}",
+        [("pop_samples", "1000"), ("population_passes", "1"), ("population_margins", "100000")],
+    ),
+    "trend": (
+        ["--gmm", "{gmm}", "--ns", "400,800", "--runs", "1"],
+        "{gmm}",
+        [("alpha", "1"), ("bayes_risk", "0.078649603525142567"),
+         ("note", "trend is conditional on the linear model attaining the minimal risk; "
+                  "this assumption is not verified"),
+         ("converged_runs", "1,1"), ("capped_runs", "0,0"), ("gd_row_iterations", "19032,19277")],
+    ),
+}
+NEAR = {"max_value_gap", "max_value_bound", "max_grad_gap", "max_grad_bound", "kappa0",
+        "theta0_stop_statistic"}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_RUNS))
+def test_manifest_keys_in_order_and_value_formats(tmp_path, command):
+    query = tmp_path / "q.json"
+    query.write_text(json.dumps({"alpha": 2.0, "r": 1.0, "d": 2, "n": 100, "delta": 0.2}))
+    paths = {"gmm": write_gmm(tmp_path), "query": str(query)}
+    argv, config, entries = TINY_RUNS[command]
+    out = tmp_path / "out"
+    assert main([command, *(a.format(**paths) for a in argv), "--seed", "1", "--out", str(out)]) == 0
+    comments, _, _ = read_csv(out / "summary.csv" if command == "synth" else out)
+    got = [tuple(c[2:].split(": ", 1)) for c in comments]
+    assert got[:5] == [("subcommand", command), ("config", config.format(**paths)),
+                       ("seed", "1"), ("out", str(out)), ("version", alpha_lab.__version__)]
+    assert got[5][0] == "timestamp"
+    assert [key for key, _ in got[6:]] == [key for key, _ in entries]
+    for (key, val), (_, want) in zip(got[6:], entries):
+        if key in NEAR:
+            assert val == format(float(val), ".17g"), key
+            assert float(val) == pytest.approx(float(want), rel=1e-12), key
+        else:
+            assert val == want, key

@@ -579,8 +579,7 @@ def test_configs_reject_nan(make):
 
 def test_experiment_single_run_equals_single_predictor():
     corruption = CorruptionSpec(class_counts=(50, 50))
-    config = TrainConfig(seed=7)
-    summary = run_synthetic_experiment(SYMMETRIC, corruption, [1.0], runs=1, config=config)
+    summary = run_synthetic_experiment(SYMMETRIC, corruption, [1.0], runs=1, seed=7)
     assert summary.runs == 1
     assert np.allclose(summary.averaged_theta[0], summary.run_thetas[0, 0])
     assert 0.0 <= summary.angle_to_bayes[0] <= np.pi
@@ -589,12 +588,21 @@ def test_experiment_single_run_equals_single_predictor():
 
 def test_experiment_determinism():
     corruption = CorruptionSpec(class_counts=(30, 70))
-    config = TrainConfig(seed=123)
-    s1 = run_synthetic_experiment(SYMMETRIC, corruption, [0.65, 1.0], 2, config)
-    s2 = run_synthetic_experiment(SYMMETRIC, corruption, [0.65, 1.0], 2, config)
+    s1 = run_synthetic_experiment(SYMMETRIC, corruption, [0.65, 1.0], 2, seed=123)
+    s2 = run_synthetic_experiment(SYMMETRIC, corruption, [0.65, 1.0], 2, seed=123)
     assert np.array_equal(s1.averaged_theta, s2.averaged_theta)
     assert np.array_equal(s1.accuracy_overall, s2.accuracy_overall)
     assert np.array_equal(s1.run_thetas, s2.run_thetas)
+
+
+def test_experiment_seed_is_an_argument_not_a_config_field():
+    # a seed in the config was ignored by every trainer, so it is not settable there
+    with pytest.raises(TypeError):
+        TrainConfig(seed=5)
+    assert len(astuple(TrainConfig())) == 5
+    corruption = CorruptionSpec(class_counts=(50, 50))
+    s0, s1 = (run_synthetic_experiment(SYMMETRIC, corruption, [1.0], 1, seed=s) for s in (0, 1))
+    assert not np.array_equal(s0.run_thetas, s1.run_thetas)
 
 
 def test_balanced_test_sets_are_balanced():

@@ -371,6 +371,25 @@ def test_one_implementation_of_each_kernel():
         assert not _names(ast.parse(path.read_text())) & {"expit", "logaddexp"}, path.name
 
 
+def test_cli_states_each_setting_once():
+    # cli's manifest is built by _manifest and printed by write_csv, --seed
+    # and --out are declared once on a parent parser, and only main turns a
+    # violation into exit 4 under --strict
+    tree = ast.parse((LIBRARY / "cli.py").read_text())
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(commands) == 6
+    for func in commands:
+        assert not _names(func) & {"strict", "EXIT_AUDIT", "EXIT_OK"}, func.name
+        for node in ast.walk(func):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            assert not any(isinstance(t, ast.Subscript) and "manifest" in _names(t.value)
+                           for t in targets), func.name
+    declared = [node.args[0].value for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+                and isinstance(node.args[0], ast.Constant)]
+    assert declared.count("--seed") == declared.count("--out") == 1
+
+
 def test_one_lattice_builder_in_training():
     # the lattice points are built once, in _lattice_points, and the
     # folded-away lattice entry points stay gone
