@@ -27,7 +27,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -205,18 +205,19 @@ def cmd_landscape(args) -> Optional[str]:
         axis, risks, saturation = saturation_report(data, args.radius, args.grid, alpha)
     else:
         axis, (risks,) = landscape_grid(data, [alpha], args.radius, args.grid)
+    violations = 0
+    if saturation is not None:
+        violations = (not saturation["value_ok"]) + (not saturation["grad_ok"])
     manifest = _manifest(
         args, "landscape", args.gmm, alpha=alpha, grid=args.grid, radius=args.radius,
-        single_basin=single_basin(risks), **(saturation or {}),
+        single_basin=single_basin(risks), **(saturation or {}), violations=violations,
     )
     rows = []
     for i, t1 in enumerate(axis):
         for j, t2 in enumerate(axis):
             rows.append([t1, t2, risks[i, j]])
     write_csv(args.out, manifest, ["theta1", "theta2", "risk"], rows)
-    if saturation is not None and not (saturation["value_ok"] and saturation["grad_ok"]):
-        return "saturation audit violation"
-    return None
+    return "saturation audit violation" if violations else None
 
 
 def cmd_synth(args) -> None:
@@ -262,21 +263,6 @@ def cmd_synth(args) -> None:
     )
 
 
-def _floor_grid(alpha0) -> List[float]:
-    """Tuning grid {alpha0, alpha0 + 0.25, ..., max(alpha0, 64), inf} of the gradient floor."""
-    return list(np.arange(alpha0, max(alpha0, 64.0) + 1e-9, 0.25)) + [np.inf]
-
-
-def _gradient_floor(thetas, data, alpha0) -> Tuple[np.ndarray, np.ndarray]:
-    """Gradient norms at alpha0 and a lower bound on them over alpha' >= alpha0.
-
-    One gradient pass covers the ``_floor_grid`` grid, which starts at
-    alpha0; the bound is 0.95 x the grid minimum, per theta.
-    """
-    norms = np.linalg.norm(logistic.risk_gradients(thetas, data, _floor_grid(alpha0)), axis=2)
-    return norms[0], 0.95 * norms.min(axis=0)
-
-
 def _check_certificates(oracle, thetas, theta0, certs) -> Dict[int, slqc.SlqcCheck]:
     """Verdicts {i: check} of the certificates {i: (eps, kappa)} at thetas[i], in one batch."""
     if not certs:
@@ -304,7 +290,7 @@ def cmd_slqc_audit(args) -> Optional[str]:
     rho0 = args.eps0 / kappa0
     thetas = slqc.sample_audit_points(spec.dim, args.radius, args.samples, seed=(args.seed, 12))
 
-    grad0, g_floor = _gradient_floor(thetas, data, alpha0)
+    grad0, g_floor, floor_slack = slqc.gradient_floor(thetas, data, alpha0)
     L = logistic.alpha_lipschitz_risk(thetas)
     J = logistic.alpha_lipschitz_gradient(thetas)
     rows = []
@@ -354,7 +340,8 @@ def cmd_slqc_audit(args) -> Optional[str]:
     manifest = _manifest(
         args, "slqc-audit", args.gmm, alpha0=alpha0, eps0=args.eps0, kappa0=kappa0,
         theta0_converged=report0.converged, theta0_iterations=report0.iterations,
-        theta0_stop_statistic=report0.grad_norm, gradient_floor_alphas=len(_floor_grid(alpha0)),
+        theta0_stop_statistic=report0.grad_norm, gradient_floor_alphas=slqc.FLOOR_POINTS,
+        gradient_floor_zero=int((g_floor == 0.0).sum()), gradient_floor_slack=floor_slack.max(),
         descent_checks=descent_checks, violations=violations,
     )
     write_csv(
@@ -399,7 +386,7 @@ def cmd_bounds(args) -> Optional[str]:
         )
         passes = len(population_groups(queries))
     rows = []
-    all_passed = True
+    violations = 0
     for q, audit in zip(queries, audits):
         rad = rademacher_bound(q)
         try:
@@ -409,11 +396,12 @@ def cmd_bounds(args) -> Optional[str]:
         measured, frac = float("nan"), float("nan")
         if audit is not None:
             measured, frac = float(audit.measured.max()), audit.pass_fraction
-            all_passed &= frac >= 1.0 - q.delta
+            violations += frac < 1.0 - q.delta
         rows.append([q.alpha, q.r, q.d, q.n, q.delta, rad, unif, measured, frac])
     manifest = _manifest(
         args, "bounds", args.query, pop_samples=args.pop_samples if passes else 0,
         population_passes=passes, population_margins=passes * AUDIT_THETAS * args.pop_samples,
+        violations=violations,
     )
     write_csv(
         args.out,
@@ -422,7 +410,7 @@ def cmd_bounds(args) -> Optional[str]:
          "uniform_discrepancy_bound", "measured_sup_gap", "audit_pass_fraction"],
         rows,
     )
-    return None if all_passed else "bound audit violation"
+    return "bound audit violation" if violations else None
 
 
 def cmd_trend(args) -> Optional[str]:
@@ -434,15 +422,16 @@ def cmd_trend(args) -> Optional[str]:
     if not ns:
         raise ConfigError("empty sample-size list")
     result = optimality_trend(spec, alpha, ns, args.runs, seed=args.seed)
+    violations = int(not result.non_increasing_within_se())
     manifest = _manifest(
         args, "trend", args.gmm, alpha=alpha, bayes_risk=result.bayes, note=result.conditional,
-        **_gd_counts(result.converged, result.capped, result.iterations),
+        **_gd_counts(result.converged, result.capped, result.iterations), violations=violations,
     )
     rows = [
         [n, result.mean_gap[i], result.se_gap[i]] for i, n in enumerate(result.ns)
     ]
     write_csv(args.out, manifest, ["n", "mean_gap", "se_gap"], rows)
-    if not result.non_increasing_within_se():
+    if violations:
         return "trend audit violation: gap not non-increasing within 1 SE"
     return None
 

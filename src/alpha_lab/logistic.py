@@ -119,14 +119,20 @@ def risk_gradient(theta, data, alpha) -> np.ndarray:
     return risk_gradients(_as_theta(theta), data, [alpha])[0, 0]
 
 
-def risk_gradients(thetas, data, alphas) -> np.ndarray:
+def risk_gradients(thetas, data, alphas, slope=False):
     """Gradients at many parameter vectors for each of several tuning values.
 
     Returns shape (len(alphas), len(thetas), d).  The samples run in row
     blocks of about BLOCK_ELEMENTS margins, in buffers allocated once per
-    call: per block one margin product and one log-sigmoid pair, which do
-    not depend on alpha, then per alpha the weights F1_b and one product
-    F1_b^T X_b added to that alpha's running sums, divided by n at the end.
+    call: per block the signed block y_b X_b, one margin product and one
+    log-sigmoid pair, which do not depend on alpha, then per alpha the
+    weights |F1_b| and one product |F1_b|^T (y_b X_b) subtracted from that
+    alpha's running sums, divided by n at the end.  Label signs are exact,
+    so these are the bits of the products of the signed weights.
+
+    With ``slope``, also returns shape (2, len(thetas)): the sample means
+    of ||x_i|| w_0(z_i) and of ||x_i|| |log g(z_i)| w_0(z_i), where w_0 is
+    the first tuning value's weight |F1|, taken from the same blocks.
     """
     alphas = [canon_alpha(a) for a in alphas]
     X, y = _as_xy(data)
@@ -134,17 +140,25 @@ def risk_gradients(thetas, data, alphas) -> np.ndarray:
     (n, d), m = X.shape, thetas.shape[0]
     rows = min(n, max(1, BLOCK_ELEMENTS // max(m, 4)))
     z, lp, F1 = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
+    yx = np.empty((rows, d))
     sums, part = np.zeros((len(alphas), m, d)), np.empty((m, d))
+    if slope:
+        x_norms = np.linalg.norm(X, axis=1)
+        weight_sums = np.zeros((2, m))
     for start in range(0, n, rows):
-        Xb, yb = X[start:start + rows], y[start:start + rows, None]
-        zb = np.matmul(Xb, thetas.T, out=z[:len(Xb)])
-        zb *= yb
-        lpb, lmb = _log_sigmoid_pair(zb, lp[:len(Xb)], zb)
+        stop = min(n, start + rows)
+        yxb = np.multiply(X[start:stop], y[start:stop, None], out=yx[:stop - start])
+        zb = np.matmul(yxb, thetas.T, out=z[:stop - start])
+        lpb, lmb = _log_sigmoid_pair(zb, lp[:stop - start], zb)
         for k, a in enumerate(alphas):
-            f = _grad_weights(a, lpb, lmb, out=F1[:len(Xb)])
-            f *= yb
-            sums[k] -= np.matmul(f.T, Xb, out=part)
-    return np.divide(sums, n, out=sums)
+            f = _grad_weights(a, lpb, lmb, out=F1[:stop - start])
+            sums[k] -= np.matmul(f.T, yxb, out=part)
+            if slope and k == 0:
+                weight_sums[0] += x_norms[start:stop] @ f
+                f *= lpb
+                weight_sums[1] -= x_norms[start:stop] @ f
+    grads = np.divide(sums, n, out=sums)
+    return (grads, np.divide(weight_sums, n, out=weight_sums)) if slope else grads
 
 
 def risk_gradient_batch(thetas, data, alpha) -> np.ndarray:

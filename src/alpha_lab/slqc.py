@@ -32,9 +32,13 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import logistic
+from .losses import _beta, canon_alpha
 from .util import derive_rng, seeded_rng
 
 GRAD_EPS = 1e-12  # "nonzero gradient" threshold against float noise
+# tuning values behind ``gradient_floor``: of 17, 33, 65 and 129 points,
+# the fewest whose median floor is within 10% of the dense minimum
+FLOOR_POINTS = 65
 
 
 class Verdict(Enum):
@@ -284,11 +288,64 @@ def evolve_slqc(alpha0, eps0, kappa0, grad_norm_at_theta, L, J, r, alpha):
     return float(eps), float(eps / rho)
 
 
+def gradient_floor(thetas, data, alpha0):
+    """Gradient norms at alpha0 and a lower bound on them over all alpha' >= alpha0.
+
+    Returns (grad0, floor, slack), one value per row of ``thetas``.  One
+    ``risk_gradients`` call takes the FLOOR_POINTS = 65 tuning values
+    alpha0 and 64 more, uniform in beta = 1/alpha down to beta = 0
+    (alpha = inf); grad0 is the alpha0 column, with the bits of
+    ``risk_gradient_batch`` at alpha0.
+
+    The bound.  The gradient is -(1/n) sum w_beta(z_i) y_i x_i with
+    w_beta = g(z)^(1 - beta) g(-z) = exp((1 - beta) log g(z) + log g(-z)),
+    so dw/dbeta = -log g(z) w_beta.  Since log g(z) < 0, its size
+    |log g(z)| w_beta grows with beta and peaks over [0, 1/alpha0] at
+    beta = 1/alpha0, where w is alpha0's weight w_0.  So
+
+        J_emp = (1/n) sum ||x_i|| |log g(z_i)| w_0(z_i)
+
+    is a Lipschitz constant in beta of the gradient, and of its norm
+    g(beta), on [0, 1/alpha0].  Between neighbouring grid values b_k >
+    b_{k+1}, g >= (g_k + g_{k+1} - J_emp (b_k - b_{k+1}))/2 (Piyavskii
+    1972; Shubert 1972), and the floor is the least of these 64 bounds,
+    minus the rounding term below, and at least 0.  ``slack`` is the
+    largest J_emp (b_k - b_{k+1})/2.
+
+    Rounding.  Let u = 2^-53, S = (1/n) sum ||x_i|| w_0(z_i) and z_max =
+    ||theta|| max ||x_i||, which bounds every |z_i|.  To first order in u,
+    each computed norm is within rho S of its exact value, and J_emp within
+    rho J_emp, where rho = u (2n + (d + 12) c (z_max + 2) + d + 16):
+    2n + 4 roundings in the products, their block sums and the mean;
+    (d + 12) c (z_max + 2) in each weight, from its margin's d-term
+    product, a log-sigmoid pair within 8u each and exp within 4u, with
+    |log g(z)| + |log g(-z)| <= |z| + 2 and c = max(1, 1/alpha0) >= |1 - beta|;
+    d + 12 in the norm and in J_emp's extra factors.  S bounds the error at
+    every beta because w_beta <= w_0.  The floor subtracts 2 rho (S + slack),
+    twice the first-order term, to cover the higher-order ones.
+    """
+    alpha0 = canon_alpha(alpha0)
+    X, y = logistic._as_xy(data)
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    (n, d), beta0 = X.shape, _beta(alpha0)
+    inner = beta0 * np.linspace(1.0, 0.0, FLOOR_POINTS)[1:-1]
+    alphas = [alpha0] + [canon_alpha(1.0 / b) for b in inner] + [math.inf]
+    betas = np.array([_beta(a) for a in alphas])
+    grads, (s0, j_emp) = logistic.risk_gradients(thetas, (X, y), alphas, slope=True)
+    norms = np.linalg.norm(grads, axis=2)
+    steps = (betas[:-1] - betas[1:])[:, None]
+    slack = j_emp * (steps.max() / 2.0)
+    z_max = np.linalg.norm(thetas, axis=1) * np.linalg.norm(X, axis=1).max()
+    rho = 2.0**-53 * (2 * n + (d + 12) * max(1.0, beta0) * (z_max + 2.0) + d + 16)
+    bound = ((norms[:-1] + norms[1:] - j_emp * steps) / 2.0).min(axis=0)
+    return norms[0], np.maximum(bound - 2.0 * rho * (s0 + slack), 0.0), slack
+
+
 def bootstrap_slqc(alpha0, eps0, kappa0, g_lower, L, J, r, lam):
     """Infinitesimal-step (bootstrapped) certificate transport.
 
     ``g_lower`` is a caller-audited lower bound on the gradient norm at
-    theta over all alpha' >= alpha0.  Returns
+    theta over all alpha' >= alpha0, such as ``gradient_floor``'s.  Returns
     (alpha_lambda, eps_lambda, rho lower bound) for lam in (0, 1):
 
         alpha_lam = alpha0 + lam * alpha0^2 g / (J (1 + 2 r kappa0/eps0))

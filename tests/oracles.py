@@ -286,17 +286,19 @@ def seed_risk_gradient_batch(thetas, X, y, alpha):
     return (X.T @ F1).T / X.shape[0]
 
 
-def seed_gradient_floor(thetas, X, y, alpha0):
-    """Frozen copy of the original slqc-audit gradient floor.
+def dense_gradient_norm_min(thetas, X, y, alpha0, points=1001):
+    """Smallest gradient norm over ``points`` values uniform in beta = 1/alpha
+    on [0, 1/alpha0], per theta, from ``seed_risk_gradient_batch``.
 
-    0.95 times the smallest gradient norm over alpha in {alpha0,
-    alpha0 + 0.25, ..., 64, inf}, one full gradient evaluation per alpha.
+    An upper bound on the minimum over all alpha' >= alpha0, so a lower
+    bound on that minimum must not exceed it.
     """
-    grid = list(np.arange(alpha0, 64.0 + 1e-9, 0.25)) + [np.inf]
-    norms = np.stack([
-        np.linalg.norm(seed_risk_gradient_batch(thetas, X, y, a), axis=1) for a in grid
-    ])
-    return 0.95 * norms.min(axis=0)
+    norms = [
+        np.linalg.norm(seed_risk_gradient_batch(thetas, X, y, np.inf if b == 0.0 else 1.0 / b),
+                       axis=1)
+        for b in np.linspace(1.0 / alpha0, 0.0, points)
+    ]
+    return np.min(norms, axis=0)
 
 
 def seed_margin_alpha_loss(alpha, z):

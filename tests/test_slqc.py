@@ -10,8 +10,11 @@ from alpha_lab.logistic import (
     alpha_lipschitz_risk,
     empirical_alpha_risk,
     risk_gradient,
+    risk_gradient_batch,
+    risk_gradients,
     theta_lipschitz_constant,
 )
+from alpha_lab.losses import canon_alpha
 from alpha_lab.slqc import (
     NgdConfig,
     OracleFunction,
@@ -24,11 +27,14 @@ from alpha_lab.slqc import (
     check_slqc_at,
     check_slqc_points,
     evolve_slqc,
+    gradient_floor,
     ngd,
     ngd_iteration_bound,
     risk_oracle,
     sample_audit_points,
 )
+
+from oracles import dense_gradient_norm_min
 
 
 def quadratic_oracle(center, dim):
@@ -451,3 +457,70 @@ def test_projected_ngd_matches_a_pointwise_reference_loop(alpha):
     assert res.values == values
     assert np.array_equal(res.best_theta, best_theta)
     assert res.best_value == best_value
+
+
+FLOOR_SPEC = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
+
+
+def floor_rounding(n, d, z_max, alpha0):
+    """2 rho of ``gradient_floor``'s docstring: twice the first-order
+    rounding of a computed gradient norm or J_emp, relative to S or J_emp."""
+    return 2.0**-52 * (2 * n + (d + 12) * max(1.0, 1.0 / alpha0) * (z_max + 2.0) + d + 16)
+
+
+@pytest.mark.parametrize("alpha0", [1.0, 1.5, 65.0])
+@pytest.mark.parametrize("radius", [0.2, 1.0, 5.0])
+def test_gradient_floor_is_below_the_dense_minimum(radius, alpha0):
+    # a lower bound over alpha' >= alpha0 is at most the smallest norm over
+    # 1,001 values uniform in 1/alpha, and at most the norm at alpha0
+    data = sample_gmm(FLOOR_SPEC, 500, seed=(0, 11), normalize=True)
+    thetas = sample_audit_points(2, radius, 32, seed=(0, 12))
+    grad0, floor, slack = gradient_floor(thetas, data, alpha0)
+    dense = dense_gradient_norm_min(thetas, data.X, data.y.astype(float), alpha0)
+    assert (floor >= 0.0).all() and (slack > 0.0).all()
+    assert (floor <= dense).all() and (floor <= grad0).all()
+    if radius <= 1.0 and alpha0 == 1.0:
+        assert np.median(floor / dense) >= 0.9
+
+
+def test_gradient_floor_norms_at_alpha0_are_the_batch_gradient_norms():
+    data = sample_gmm(FLOOR_SPEC, 500, seed=(0, 11), normalize=True)
+    thetas = sample_audit_points(2, 1.0, 32, seed=(0, 12))
+    for alpha0 in (1.0, 1.5, 64.0, 64.1, 100.0):
+        ref = np.linalg.norm(risk_gradient_batch(thetas, data, alpha0), axis=1)
+        assert gradient_floor(thetas, data, alpha0)[0].tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mean=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    scale=st.floats(0.1, 3.0),
+    prior=st.floats(0.05, 0.95),
+    n=st.integers(1, 300),
+    theta=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    alpha0=st.floats(0.5, 100.0),
+    t1=st.floats(0.0, 1.0),
+    t2=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_beta_slope_bounds_the_gradient_change(mean, scale, prior, n, theta, alpha0, t1, t2, seed):
+    # ||grad(beta1) - grad(beta2)|| <= J_emp |beta1 - beta2| on [0, 1/alpha0],
+    # plus the rounding of the two gradients and of J_emp, relative to S
+    spec = GmmSpec(prior, mean, [-m for m in mean], scale * np.eye(2), np.eye(2))
+    data = sample_gmm(spec, n, seed=seed, normalize=True)
+    X, y = data.X, data.y.astype(float)
+    theta = np.array([theta])
+    alpha0 = canon_alpha(alpha0)
+    alphas = [alpha0] + [np.inf if t == 0.0 else canon_alpha(alpha0 / t) for t in (t1, t2)]
+    grads, (s0, j_emp) = risk_gradients(theta, data, alphas, slope=True)
+    b1, b2 = (0.0 if np.isinf(a) else 1.0 / a for a in alphas[1:])
+    z_max = np.linalg.norm(theta) * np.linalg.norm(X, axis=1).max()
+    step = j_emp * abs(b1 - b2)
+    change = np.linalg.norm(grads[1] - grads[2], axis=1)
+    assert change <= step + floor_rounding(n, 2, z_max, alpha0) * (s0 + step)
+    # S and J_emp are the sample means of their formulas
+    z = (X @ theta[0]) * y
+    w0 = np.exp((1.0 - 1.0 / alpha0) * -np.logaddexp(0.0, -z) - np.logaddexp(0.0, z))
+    x_norms = np.linalg.norm(X, axis=1)
+    assert s0 == pytest.approx(np.mean(x_norms * w0), rel=1e-12)
+    assert j_emp == pytest.approx(np.mean(x_norms * np.logaddexp(0.0, -z) * w0), rel=1e-12)
