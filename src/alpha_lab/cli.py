@@ -263,15 +263,6 @@ def cmd_synth(args) -> None:
     )
 
 
-def _check_certificates(oracle, thetas, theta0, certs) -> Dict[int, slqc.SlqcCheck]:
-    """Verdicts {i: check} of the certificates {i: (eps, kappa)} at thetas[i], in one batch."""
-    if not certs:
-        return {}
-    idx = list(certs)
-    eps, kappa = np.array([certs[i] for i in idx]).T
-    return dict(zip(idx, slqc.check_slqc_points(oracle, thetas[idx], theta0, eps, eps / kappa)))
-
-
 def cmd_slqc_audit(args) -> Optional[str]:
     spec = load_gmm(args.gmm)
     alpha0 = parse_alpha(args.alpha0)
@@ -287,61 +278,27 @@ def cmd_slqc_audit(args) -> Optional[str]:
     data = sample_gmm(spec, args.n, seed=(args.seed, 11), normalize=True)
     theta0, report0 = train_gd(data, TrainConfig(alpha=alpha0, radius=args.radius))
     kappa0 = logistic.theta_lipschitz_constant(alpha0, args.radius, spec.dim)
-    rho0 = args.eps0 / kappa0
     thetas = slqc.sample_audit_points(spec.dim, args.radius, args.samples, seed=(args.seed, 12))
-
-    grad0, g_floor, floor_slack = slqc.gradient_floor(thetas, data, alpha0)
-    L = logistic.alpha_lipschitz_risk(thetas)
-    J = logistic.alpha_lipschitz_gradient(thetas)
-    rows = []
-    violations = 0
-    descent_checks = []
-    for target in targets:
-        # per-theta certificates {i: (eps, kappa)}: single-step evolution,
-        # and the bootstrapped reach toward the same target
-        evolved, booted = {}, {}
-        sups = [""] * len(thetas)
-        for i in range(len(thetas)):
-            try:
-                evolved[i] = slqc.evolve_slqc(
-                    alpha0, args.eps0, kappa0, grad0[i], L[i], J[i], args.radius, target
-                )
-            except slqc.RangeExceeded as exc:
-                sups[i] = exc.admissible_sup
-            if g_floor[i] > 0.0 and np.isfinite(target):
-                lam = (target - alpha0) * J[i] * (1.0 + 2.0 * args.radius / rho0) / (
-                    alpha0**2 * g_floor[i]
-                )
-                if 0.0 < lam < 1.0:
-                    _, eps_b, rho_lb = slqc.bootstrap_slqc(
-                        alpha0, args.eps0, kappa0, g_floor[i], L[i], J[i], args.radius, lam
-                    )
-                    booted[i] = (eps_b, eps_b / rho_lb)
-        oracle = slqc.risk_oracle(data, target, validate=False) if np.isfinite(target) else None
-        ev_checks = _check_certificates(oracle, thetas, theta0.theta, evolved)
-        boot_checks = _check_certificates(oracle, thetas, theta0.theta, booted)
-        done = [*ev_checks.values(), *boot_checks.values()]
+    floor, floor_slack, sups, sweeps = slqc.certificate_sweep(
+        data, thetas, theta0.theta, alpha0, args.eps0, kappa0, args.radius, targets
+    )
+    rows, violations, descent_checks = [], 0, []
+    for target, ((eps, kappa, checks), (b_eps, b_kappa, b_checks)) in zip(targets, sweeps):
+        done = [c for c in checks + b_checks if c is not None]
         violations += sum(c.verdict is slqc.Verdict.FAILS for c in done)
         descent_checks.append(sum(c.grad_norm is not None for c in done))
-        for i in range(len(thetas)):
-            verdict, eps_s, kappa_s, rho_s, detail = "range_exceeded", "", "", "", ""
-            if i in evolved:
-                eps_s, kappa_s = evolved[i]
-                rho_s = eps_s / kappa_s
-                verdict, detail = ev_checks[i].verdict.value, ev_checks[i].detail
-            boot_verdict, boot_eps, boot_kappa = "range_exceeded", "", ""
-            if i in booted:
-                boot_verdict = boot_checks[i].verdict.value
-                boot_eps, boot_kappa = booted[i]
-            rows.append([
-                target, i, verdict, eps_s, kappa_s, rho_s, sups[i],
-                boot_verdict, boot_eps, boot_kappa, detail,
-            ])
+        for i, (c, b) in enumerate(zip(checks, b_checks)):
+            # an evolved certificate's rho is that of its check
+            evolved = (["range_exceeded", "", "", "", sups[i]] if c is None
+                       else [c.verdict.value, eps[i], kappa[i], c.rho, ""])
+            booted = (["range_exceeded", "", ""] if b is None
+                      else [b.verdict.value, b_eps[i], b_kappa[i]])
+            rows.append([target, i, *evolved, *booted, "" if c is None else c.detail])
     manifest = _manifest(
         args, "slqc-audit", args.gmm, alpha0=alpha0, eps0=args.eps0, kappa0=kappa0,
         theta0_converged=report0.converged, theta0_iterations=report0.iterations,
         theta0_stop_statistic=report0.grad_norm, gradient_floor_alphas=slqc.FLOOR_POINTS,
-        gradient_floor_zero=int((g_floor == 0.0).sum()), gradient_floor_slack=floor_slack.max(),
+        gradient_floor_zero=int((floor == 0.0).sum()), gradient_floor_slack=floor_slack.max(),
         descent_checks=descent_checks, violations=violations,
     )
     write_csv(

@@ -180,23 +180,23 @@ def _loss_sums(thetas: np.ndarray, X: np.ndarray, y: np.ndarray, alphas, squares
     """Sums over the samples of the margin losses, per tuning value and parameter row.
 
     Returns shape (1, len(alphas), len(thetas)), or (2, ...) with the sums
-    of squared losses when ``squares``.  Margin products, signs, losses
-    (their softplus once for all alphas) and sums run in row blocks of
-    about BLOCK_ELEMENTS margins in reused buffers.  numpy adds the rows
-    of a C-contiguous matrix of two or more columns in order, so summing
-    each block below a carry row of the running sums gives the bits of
-    one ``sum(axis=0)`` of the stacked blocks; one column is summed
-    pairwise and stays one block.
+    of squared losses when ``squares``.  Signed blocks y_b X_b, as in
+    ``risk_gradients``, margin products, losses (their softplus once for
+    all alphas) and sums run in row blocks of about BLOCK_ELEMENTS margins
+    in reused buffers.  numpy adds the rows of a C-contiguous matrix of two
+    or more columns in order, so summing each block below a carry row of
+    the running sums gives the bits of one ``sum(axis=0)`` of the stacked
+    blocks; one column is summed pairwise and stays one block.
     """
     n, m = X.shape[0], thetas.shape[0]
     rows = n if m < 2 else min(n, max(1, BLOCK_ELEMENTS // m))
-    zbuf = np.empty((rows, m))
+    zbuf, yx = np.empty((rows, m)), np.empty((rows, X.shape[1]))
     stack, sp_stack = np.empty((rows + 1, m)), np.empty((rows + 1, m))
     sums = np.empty((1 + bool(squares), len(alphas), m))
     for start in range(0, n, rows):
         b = min(rows, n - start)
-        z = np.matmul(X[start:start + b], thetas.T, out=zbuf[:b])
-        z *= y[start:start + b, None]
+        yxb = np.multiply(X[start:start + b], y[start:start + b, None], out=yx[:b])
+        z = np.matmul(yxb, thetas.T, out=zbuf[:b])
         body, sp = stack[1:b + 1], sp_stack[1:b + 1]
         for k, vals in enumerate(margin_alpha_losses(alphas, z, out=body, sp_out=sp)):
             # the alpha = 1 losses are the softplus buffer itself

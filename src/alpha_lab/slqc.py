@@ -19,7 +19,9 @@ steps are its one-row case.
 ``evolve_slqc`` maps a certificate at tuning value alpha0 >= 1 to one at
 a larger alpha, ``bootstrap_slqc`` takes the infinitesimal-step limit of
 that map, and ``bootstrap_sequences`` exposes the underlying finite-N
-recursion with its validity horizon.
+recursion with its validity horizon.  Both maps take parameter rows
+(arrays of per-theta constants), and ``certificate_sweep`` applies both at
+every sampled theta and target and checks the results there.
 """
 
 from __future__ import annotations
@@ -248,8 +250,8 @@ class RangeExceeded(Exception):
         super().__init__(f"target alpha outside admissible range (sup alpha0 + {admissible_sup:.6g})")
 
 
-def evolution_range(alpha0, grad_norm, J, r, kappa0, eps0) -> float:
-    """Admissible width of a single evolution step in alpha."""
+def evolution_range(alpha0, grad_norm, J, r, kappa0, eps0):
+    """Admissible width of a single evolution step in alpha, per row for arrays."""
     return alpha0**2 * grad_norm / (2.0 * J * (1.0 + r * kappa0 / eps0))
 
 
@@ -263,29 +265,33 @@ def evolve_slqc(alpha0, eps0, kappa0, grad_norm_at_theta, L, J, r, alpha):
         eps = eps0 + 2 L (alpha-alpha0)/(alpha alpha0)
         rho = rho0 * (1 - (1 + 2 r kappa0/eps0) J (alpha-alpha0)
                         / (alpha alpha0 ||grad|| - J (alpha-alpha0)))
+
+    Arrays of rows for the gradient norm, L or J give arrays, nan at the
+    rows out of range (whose sups are those of ``evolution_range``).
     """
     a0 = float(alpha0)
     a = float(alpha)
     if not (a >= a0 >= 1.0):
         raise ValueError("need alpha >= alpha0 >= 1")
-    if min(eps0, kappa0, grad_norm_at_theta, J, r) <= 0.0 or L < 0.0:
+    g, L, J = (np.asarray(v, dtype=float) for v in (grad_norm_at_theta, L, J))
+    if not (min(eps0, kappa0, r) > 0.0 and np.all(np.minimum(g, J) > 0.0) and np.all(L >= 0.0)):
         raise ValueError("constants must be positive (L nonnegative)")
     rho0 = eps0 / kappa0
     if rho0 > r:
         raise ValueError("evolution assumes rho0 = eps0/kappa0 <= r")
+    sup = evolution_range(a0, g, J, r, kappa0, eps0)
+    # rows out of range (all at alpha = inf) may overflow or divide by 0: quietly, as numpy floats
+    with np.errstate(all="ignore"):
+        eps = eps0 + 2.0 * L * (a - a0) / (a * a0)
+        shrink = ((1.0 + 2.0 * r * kappa0 / eps0) * J * (a - a0)) / (a * a0 * g - J * (a - a0))
+        rho = rho0 * (1.0 - shrink)
+        reached = (a - a0 < sup) & (rho > 0.0)
+        eps, kappa = np.where(reached, eps, np.nan), np.where(reached, eps / rho, np.nan)
     if a == a0:
-        return float(eps0), float(kappa0)
-    sup = evolution_range(a0, grad_norm_at_theta, J, r, kappa0, eps0)
-    if a - a0 >= sup:
-        raise RangeExceeded(sup)
-    eps = eps0 + 2.0 * L * (a - a0) / (a * a0)
-    shrink = ((1.0 + 2.0 * r * kappa0 / eps0) * J * (a - a0)) / (
-        a * a0 * grad_norm_at_theta - J * (a - a0)
-    )
-    rho = rho0 * (1.0 - shrink)
-    if not rho > 0.0:
-        raise RangeExceeded(sup)
-    return float(eps), float(eps / rho)
+        eps, kappa = np.full_like(eps, eps0), np.full_like(kappa, kappa0)
+    if np.ndim(eps) == 0 and np.isnan(eps):
+        raise RangeExceeded(float(sup))
+    return (eps, kappa) if np.ndim(eps) else (float(eps), float(kappa))
 
 
 def gradient_floor(thetas, data, alpha0):
@@ -354,14 +360,16 @@ def bootstrap_slqc(alpha0, eps0, kappa0, g_lower, L, J, r, lam):
         rho_lam   > rho0 (1 - lam)
 
     The two denominators (1 + 2r kappa0/eps0) vs (1 + r kappa0/eps0) are
-    deliberately asymmetric, matching the bound exactly as derived.
+    deliberately asymmetric, matching the bound exactly as derived.  Arrays
+    of rows for ``g_lower``, L, J or lam give arrays.
     """
-    if not 0.0 < lam < 1.0:
+    if not np.all((0.0 < lam) & (lam < 1.0)):
         raise ValueError("lambda must lie strictly inside (0, 1)")
     a0 = float(alpha0)
     if not (a0 >= 1.0 and np.isfinite(a0)):
         raise ValueError("alpha0 must be finite and >= 1")
-    if min(eps0, kappa0, g_lower, J, r) <= 0.0 or L < 0.0:
+    if not (min(eps0, kappa0, r) > 0.0 and np.all(np.minimum(g_lower, J) > 0.0)
+            and np.all(L >= 0.0)):
         raise ValueError("constants must be positive (L nonnegative)")
     rho0 = eps0 / kappa0
     alpha_lam = a0 + lam * a0**2 * g_lower / (J * (1.0 + 2.0 * r / rho0))
@@ -369,7 +377,8 @@ def bootstrap_slqc(alpha0, eps0, kappa0, g_lower, L, J, r, lam):
         2.0 * lam * L * ((alpha_lam - a0) / (alpha_lam * a0))
         * a0**2 * g_lower / (J * (1.0 + r / rho0))
     )
-    return float(alpha_lam), float(eps_lam), float(rho0 * (1.0 - lam))
+    out = alpha_lam, eps_lam, rho0 * (1.0 - lam)
+    return out if np.ndim(alpha_lam) else tuple(float(v) for v in out)
 
 
 @dataclass(frozen=True)
@@ -475,3 +484,35 @@ def risk_oracle(data, alpha, validate: bool = True) -> OracleFunction:
         X.shape[1],
         check_points=3 if validate else 0,
     )
+
+
+def certificate_sweep(data, thetas, theta0, alpha0, eps0, kappa0, r, targets):
+    """Evolve and bootstrap (eps0, kappa0, theta0) from alpha0 to each target
+    at every row of the (m, d) array thetas, and check the results there.
+
+    Returns ``gradient_floor``'s floor and slack, each row's evolution sup,
+    and per target the evolved and the bootstrapped (eps, kappa, checks)
+    rows, nan and None where a certificate does not reach the target.
+    Bootstrapping takes the floor and the lambda whose alpha_lambda is the target.
+    """
+    grad0, floor, slack = gradient_floor(thetas, data, alpha0)
+    L, J = logistic.alpha_lipschitz_risk(thetas), logistic.alpha_lipschitz_gradient(thetas)
+    sweeps = []
+    for target in targets:
+        evolved = evolve_slqc(alpha0, eps0, kappa0, grad0, L, J, r, target)
+        # the inverse of bootstrap_slqc's alpha_lambda: inf or nan at a zero floor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = (target - alpha0) * J * (1.0 + 2.0 * r / (eps0 / kappa0)) / (alpha0**2 * floor)
+        b = np.flatnonzero((0.0 < lam) & (lam < 1.0))
+        _, e, rho_lb = bootstrap_slqc(alpha0, eps0, kappa0, floor[b], L[b], J[b], r, lam[b])
+        booted = np.full((2, len(thetas)), np.nan)
+        booted[:, b] = e, e / rho_lb
+        oracle = risk_oracle(data, target, validate=False)
+        sweeps.append([])
+        for eps, kappa in (evolved, booted):
+            # one check_slqc_points call at the rows reached, None at the others
+            k, checks = np.flatnonzero(~np.isnan(eps)), np.full(len(eps), None)
+            if k.size:
+                checks[k] = check_slqc_points(oracle, thetas[k], theta0, eps[k], eps[k] / kappa[k])
+            sweeps[-1].append((eps, kappa, list(checks)))
+    return floor, slack, evolution_range(alpha0, grad0, J, r, kappa0, eps0), sweeps

@@ -11,7 +11,22 @@ import alpha_lab
 from alpha_lab import cli
 from alpha_lab.cli import main
 from alpha_lab.datasets import GmmSpec, sample_gmm
-from alpha_lab.slqc import SlqcCertificate, check_slqc_at, risk_oracle, sample_audit_points
+from alpha_lab.logistic import (
+    alpha_lipschitz_gradient,
+    alpha_lipschitz_risk,
+    risk_gradient_batch,
+    theta_lipschitz_constant,
+)
+from alpha_lab.slqc import (
+    RangeExceeded,
+    SlqcCertificate,
+    bootstrap_slqc,
+    check_slqc_at,
+    evolve_slqc,
+    gradient_floor,
+    risk_oracle,
+    sample_audit_points,
+)
 from alpha_lab.training import TrainConfig, saturation_report, train_gd
 
 
@@ -325,6 +340,20 @@ def test_slqc_audit_rejects_bad_samples_and_eps0(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--targets", "0.9"], "need alpha >= alpha0 >= 1"),
+    (["--targets", "1.001", "--eps0", "5"], "evolution assumes rho0 = eps0/kappa0 <= r"),
+])
+def test_slqc_audit_rejects_targets_below_alpha0_and_wide_eps0(tmp_path, capsys, flags, message):
+    # the certificate sweep rejects them, after training and before any file is written
+    out = tmp_path / "bad.csv"
+    rc = main(["slqc-audit", "--gmm", write_gmm(tmp_path), "--radius", "0.2", "--samples", "8",
+               "--n", "100", *flags, "--out", str(out)])
+    assert rc == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("compare", [False, True])
 def test_landscape_rejects_bad_radius(tmp_path, capsys, radius, compare):
@@ -407,7 +436,7 @@ def test_slqc_audit_small(tmp_path):
     far = [row for row in rows if row[0] == "50"]
     assert far and all(row[verdict_col] == "range_exceeded" for row in far)
     assert manifest["descent_checks"] == "0,0"
-    assert recheck_audit_rows(header, rows, n=200, samples=24, radius=1.0, seed=3) == {}
+    assert recheck_audit_rows(header, rows, n=200, samples=24, radius=1.0, eps0=0.05, seed=3) == {}
     # a small radius and eps0 admit evolved and bootstrapped certificates
     # that need the descent condition
     rc = main([
@@ -418,28 +447,78 @@ def test_slqc_audit_small(tmp_path):
     assert rc == 0
     comments, header, rows = read_csv(out)
     manifest = dict(c[2:].split(": ", 1) for c in comments)
-    descent = recheck_audit_rows(header, rows, n=200, samples=24, radius=0.2, seed=3)
+    descent = recheck_audit_rows(header, rows, n=200, samples=24, radius=0.2, eps0=0.005, seed=3)
     assert descent["1.0002"] > 0 and descent["1.0009999999999999"] > 0
     assert manifest["descent_checks"] == f"{descent['1.0002']},{descent['1.0009999999999999']}"
     assert {row[verdict_col] for row in rows} >= {"condition1", "condition2"}
+    # at alpha0 every row carries (eps0, kappa0) and no bootstrap; at inf
+    # every row carries only its sup
+    rc = main([
+        "slqc-audit", "--gmm", gmm, "--alpha0", "1", "--targets", "1,1.001,inf",
+        "--samples", "64", "--n", "200", "--radius", "0.2", "--eps0", "0.005", "--seed", "3",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    comments, header, rows = read_csv(out)
+    manifest = dict(c[2:].split(": ", 1) for c in comments)
+    recheck_audit_rows(header, rows, n=200, samples=64, radius=0.2, eps0=0.005, seed=3)
+    at = {t: [row[2:10] for row in rows if row[0] == t] for t in ("1", "inf")}
+    assert len(at["1"]) == len(at["inf"]) == 64
+    assert all(r[1:3] == ["0.0050000000000000001", manifest["kappa0"]] and r[4] == ""
+               and r[5:] == ["range_exceeded", "", ""] for r in at["1"])
+    assert all(r[:4] == ["range_exceeded", "", "", ""] and float(r[4]) > 0.0
+               and r[5:] == ["range_exceeded", "", ""] for r in at["inf"])
+    # above alpha0 = 1 the alpha0^2 factors and the lambda formula's order count
+    rc = main([
+        "slqc-audit", "--gmm", gmm, "--alpha0", "1.5", "--targets", "1.5001,2",
+        "--samples", "24", "--n", "200", "--radius", "0.5", "--eps0", "0.01", "--seed", "3",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    header, rows = read_csv(out)[1:]
+    assert {row[header.index("boot_verdict")] for row in rows} != {"range_exceeded"}
+    recheck_audit_rows(header, rows, n=200, samples=24, radius=0.5, eps0=0.01, seed=3, alpha0=1.5)
 
 
-def recheck_audit_rows(header, rows, n, samples, radius, seed):
-    """Check each row's certificates pointwise; returns descent checks per target."""
+def recheck_audit_rows(header, rows, n, samples, radius, eps0, seed, alpha0=1.0):
+    """Recompute each row's certificates from one-row evolve_slqc and
+    bootstrap_slqc calls, bit for bit, and check them pointwise; returns
+    descent checks per target."""
     spec = GmmSpec(0.5, [-1.0, -1.0], [1.0, 1.0], np.eye(2), np.eye(2))
     data = sample_gmm(spec, n, seed=(seed, 11), normalize=True)
-    theta0, _ = train_gd(data, TrainConfig(alpha=1.0, radius=radius))
+    theta0, _ = train_gd(data, TrainConfig(alpha=alpha0, radius=radius))
     thetas = sample_audit_points(2, radius, samples, seed=(seed, 12))
+    kappa0 = theta_lipschitz_constant(alpha0, radius, 2)
+    grad0 = np.linalg.norm(risk_gradient_batch(thetas, data, alpha0), axis=1)
+    floor = gradient_floor(thetas, data, alpha0)[1]
     col = {name: header.index(name) for name in header}
     descent = {}
     for row in rows:
-        oracle = risk_oracle(data, float(row[0]), validate=False)
+        target, i = float(row[0]), int(row[1])
+        L, J = alpha_lipschitz_risk(thetas[i]), alpha_lipschitz_gradient(thetas[i])
+        cells = [""] * 6
+        try:
+            eps, kappa = evolve_slqc(alpha0, eps0, kappa0, grad0[i], L, J, radius, target)
+            cells[:3] = eps, kappa, eps / kappa
+        except RangeExceeded as exc:
+            cells[3] = exc.admissible_sup
+        if floor[i] > 0.0:
+            # alpha_lambda = alpha0 + lam alpha0^2 g / (J (1 + 2 r / rho0)) is the target
+            lam = (target - alpha0) * J * (1.0 + 2.0 * radius / (eps0 / kappa0)) / (
+                alpha0**2 * floor[i]
+            )
+            if 0.0 < lam < 1.0:
+                _, eps_b, rho_b = bootstrap_slqc(alpha0, eps0, kappa0, floor[i], L, J, radius, lam)
+                cells[4:] = eps_b, eps_b / rho_b
+        names = ["eps", "kappa", "rho", "admissible_sup", "boot_eps", "boot_kappa"]
+        assert [row[col[c]] for c in names] == [cli._fmt(v) for v in cells]
+        oracle = risk_oracle(data, target, validate=False)
         for verdict, eps, kappa in (("verdict", "eps", "kappa"),
                                     ("boot_verdict", "boot_eps", "boot_kappa")):
             if row[col[verdict]] == "range_exceeded":
                 continue
             cert = SlqcCertificate(float(row[col[eps]]), float(row[col[kappa]]), theta0.theta)
-            check = check_slqc_at(oracle, thetas[int(row[1])], cert)
+            check = check_slqc_at(oracle, thetas[i], cert)
             assert check.verdict.value == row[col[verdict]]
             descent[row[0]] = descent.get(row[0], 0) + (check.grad_norm is not None)
     return descent

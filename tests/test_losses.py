@@ -390,6 +390,18 @@ def test_cli_states_each_setting_once():
     assert declared.count("--seed") == declared.count("--out") == 1
 
 
+def test_cli_holds_no_certificate_math():
+    # slqc.certificate_sweep evolves, bootstraps and checks the certificates;
+    # cli only samples the points, trains theta0 and writes the rows
+    tree = ast.parse((LIBRARY / "cli.py").read_text())
+    assert not _names(tree) & {
+        "evolve_slqc", "bootstrap_slqc", "gradient_floor", "check_slqc_points",
+        "alpha_lipschitz_risk", "alpha_lipschitz_gradient",
+    }
+    assert "_check_certificates" not in {f.name for f in ast.walk(tree)
+                                         if isinstance(f, ast.FunctionDef)}
+
+
 def test_one_lattice_builder_in_training():
     # the lattice points are built once, in _lattice_points, and the
     # folded-away lattice entry points stay gone

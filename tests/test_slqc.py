@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alpha_lab.datasets import GmmSpec, sample_gmm
@@ -26,6 +28,7 @@ from alpha_lab.slqc import (
     bootstrap_slqc,
     check_slqc_at,
     check_slqc_points,
+    evolution_range,
     evolve_slqc,
     gradient_floor,
     ngd,
@@ -215,6 +218,92 @@ def test_evolve_monotone_sweep():
         assert 0.0 < eps / kappa < eps0 / kappa0
     assert np.all(np.diff(epss) > 0)
     assert np.all(np.diff(rhos) < 0)
+
+
+def one_row_evolution(alpha0, eps0, kappa0, g, L, J, r, target):
+    """(eps, kappa) of a one-row evolve_slqc call, nan where it raises RangeExceeded,
+    and the sup it raised with (nan where it did not)."""
+    try:
+        return (*evolve_slqc(alpha0, eps0, kappa0, g, L, J, r, target), math.nan)
+    except RangeExceeded as exc:
+        return math.nan, math.nan, exc.admissible_sup
+
+
+# (gradient norm or floor, L, J) of one theta
+ROW = (st.floats(1e-3, 10.0), st.floats(0.0, 10.0), st.floats(1e-2, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(*ROW), max_size=8),
+    alpha0=st.sampled_from([1.0, 1.5, 65.0]),
+    eps0=st.floats(1e-3, 0.5),
+    rho_frac=st.floats(1e-3, 1.0),
+    r=st.floats(0.1, 5.0),
+    offset=st.one_of(st.just(0.0), st.floats(1e-6, 50.0), st.just(math.inf)),
+)
+@example(rows=[], alpha0=1.0, eps0=0.05, rho_frac=0.5, r=1.0, offset=1e-3)
+def test_evolution_rows_are_the_one_row_calls(rows, alpha0, eps0, rho_frac, r, offset):
+    # bit for bit, with nan exactly at the rows whose one-row call raises
+    # RangeExceeded, and their sups those of evolution_range; every row is
+    # (eps0, kappa0) at alpha0 and out of range at inf
+    kappa0 = eps0 / (rho_frac * r)
+    g, L, J = np.array(rows).reshape(-1, 3).T
+    target = alpha0 + offset
+    eps, kappa = evolve_slqc(alpha0, eps0, kappa0, g, L, J, r, target)
+    expected = np.array([one_row_evolution(alpha0, eps0, kappa0, *row, r, target)
+                         for row in rows]).reshape(-1, 3)
+    assert np.stack([eps, kappa], axis=1).tobytes() == expected[:, :2].tobytes()
+    out = np.isnan(eps)
+    sups = evolution_range(alpha0, g, J, r, kappa0, eps0)
+    assert np.array_equal(expected[out, 2], sups[out]) and np.isnan(expected[~out, 2]).all()
+    if offset == 0.0:
+        assert (eps == eps0).all() and (kappa == kappa0).all()
+    if offset == math.inf:
+        assert out.all()
+
+
+def test_evolution_rows_are_nan_at_both_range_exceeded_sites():
+    # row 1 is wider than its sup; row 2 is one ulp of alpha inside its sup,
+    # where rho = rho0 (1 - shrink) rounds to at most 0
+    alpha0, eps0, kappa0, r = 11.662804472649789, 0.08720440248402724, 1.0, 1.0
+    target = np.nextafter(alpha0, np.inf)
+    g = np.array([0.3, 1e-17, 7.543739376427202e-17])
+    J = np.array([0.2, 0.2, 0.23166459463201036])
+    sups = evolution_range(alpha0, g, J, r, kappa0, eps0)
+    assert target - alpha0 >= sups[1]
+    assert target - alpha0 < sups[0] and target - alpha0 < sups[2]
+    eps, kappa = evolve_slqc(alpha0, eps0, kappa0, g, 1.0, J, r, target)
+    assert not np.isnan(eps[0]) and np.isnan(eps[1:]).all() and np.isnan(kappa[1:]).all()
+    for k in (1, 2):
+        with pytest.raises(RangeExceeded) as err:
+            evolve_slqc(alpha0, eps0, kappa0, g[k], 1.0, J[k], r, target)
+        assert err.value.admissible_sup == sups[k]
+    assert evolve_slqc(alpha0, eps0, kappa0, g[0], 1.0, J[0], r, target) == (eps[0], kappa[0])
+    empty = evolve_slqc(alpha0, eps0, kappa0, np.array([]), np.array([]), np.array([]), r, target)
+    assert [a.shape for a in empty] == [(0,), (0,)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(*ROW, st.floats(1e-6, 1.0, exclude_max=True)), max_size=8),
+    alpha0=st.sampled_from([1.0, 1.5, 65.0]),
+    eps0=st.floats(1e-3, 0.5),
+    kappa0=st.floats(0.1, 10.0),
+    r=st.floats(0.1, 5.0),
+)
+@example(rows=[], alpha0=65.0, eps0=0.05, kappa0=1.0, r=5.0)
+def test_bootstrap_rows_are_the_one_row_calls(rows, alpha0, eps0, kappa0, r):
+    # bit for bit; an empty row set is valid and gives empty rows, since a
+    # sweep at which no theta admits a bootstrap calls it with none
+    g, L, J, lam = np.array(rows).reshape(-1, 4).T
+    got = np.stack(bootstrap_slqc(alpha0, eps0, kappa0, g, L, J, r, lam), axis=1)
+    expected = np.array([bootstrap_slqc(alpha0, eps0, kappa0, *row[:3], r, row[3])
+                         for row in rows]).reshape(-1, 3)
+    assert got.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="lambda"):
+        bootstrap_slqc(alpha0, eps0, kappa0, np.append(g, 0.3), np.append(L, 1.0),
+                       np.append(J, 1.5), r, np.append(lam, 1.0))
 
 
 def test_bootstrap_zero_length_limit():
