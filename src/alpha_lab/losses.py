@@ -93,17 +93,17 @@ def _loss_from_softplus(alpha: float, sp, out):
     """Margin loss at a finite canonical ``alpha`` from ``sp = softplus(-z)``.
 
     ``sp`` itself at alpha = 1; otherwise
-    ``alpha/(alpha-1) * -expm1((1-alpha)/alpha * sp)``, written into ``out``.
-    The exponent's numerator 1 - alpha is exact near alpha = 1 (Sterbenz),
-    where ``1/alpha - 1`` would cancel.
+    ``-(alpha/(alpha-1)) * expm1((1-alpha)/alpha * sp)``, written into
+    ``out``.  The exponent's numerator 1 - alpha is exact near alpha = 1
+    (Sterbenz), where ``1/alpha - 1`` would cancel.  Negating the constant
+    instead of the array has the same bits, since rounding is symmetric.
     """
     if alpha == 1.0:
         return sp
     with np.errstate(over="ignore"):
-        t = np.multiply((1.0 - alpha) / alpha, sp, out=out)
-        np.expm1(t, out=t)
-        np.negative(t, out=t)
-        return np.multiply(alpha / (alpha - 1.0), t, out=t)
+        t = np.multiply((1.0 - alpha) / alpha, sp, out)
+        np.expm1(t, t)
+        return np.multiply(-(alpha / (alpha - 1.0)), t, t)
 
 
 def margin_alpha_losses(alphas, z, out=None, sp_out=None):

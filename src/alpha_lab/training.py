@@ -97,11 +97,11 @@ class NumericTrainingError(RuntimeError):
 def _gd_step_weights(beta: float):
     """Unsigned F1 weight w(z) = sigmoid(z)^(1-beta) * sigmoid(-z), chosen once per beta.
 
-    Returns ``(sign, weights)``.  ``weights(S, T)`` overwrites the margins
-    S = sign * z, with z = y * x.theta, by w, and uses ``T`` (same shape)
-    as scratch; the caller ignores overflow.  The risk gradient is then
-    -sign * (w @ (sign * y * X)) / n.  Each beta gets the form with the
-    fewest array passes:
+    Returns ``(sign, weights, bare)``.  ``weights(S, T)`` overwrites the
+    margins S = sign * z, with z = y * x.theta, by w, and uses ``T`` (same
+    shape) as scratch; the caller ignores overflow.  The risk gradient is
+    then -sign * (w @ (sign * y * X)) / n.  Each beta gets the form with
+    the fewest array passes:
 
     - beta = 1: w = sigmoid(-z) = 1 / (1 + e^z), with sign +1.
     - beta < 1: w = E * (1 + E)^(beta - 2) with E = e^min(-z, 709), sign -1.
@@ -111,33 +111,46 @@ def _gd_step_weights(beta: float):
     - beta > 1: w = exp(-z - (2 - beta) * softplus(-z)), sign -1; the log
       domain keeps the weight finite until e^((beta - 1) * |z|) overflows.
 
+    ``bare`` is ``weights`` without its overflow guard (the clip for
+    beta < 1, softplus's max-reduction for beta > 1), for margins known to
+    be at most ``_EXP_MAX``: the guard acts only above it, so there both
+    give the same bits.  The batched loop always runs the guard.
+
     This stays apart from ``losses._grad_weights``: GD needs one alpha per
     step and takes the sigmoid forms above, while ``risk_gradients`` shares
     one log-sigmoid pair of the margins across many alphas.
     """
     # 0-d operands: numpy converts a Python float operand on every call
-    one, clip, power = np.array(1.0), np.array(_EXP_MAX), np.array(beta - 2.0)
+    one, clip, expo = np.array(1.0), np.array(_EXP_MAX), np.array(beta - 2.0)
+    # closure cells cost less per step than np.<name> lookups
+    exp, add, power, minimum = np.exp, np.add, np.power, np.minimum
     if beta == 1.0:
         def weights(Z, T):
-            np.exp(Z, out=Z)
+            exp(Z, Z)
             Z += one
-            np.reciprocal(Z, out=Z)
-        return 1.0, weights
+            np.reciprocal(Z, Z)
+        return 1.0, weights, weights
     if beta < 1.0:
-        def weights(M, T):
-            np.minimum(M, clip, out=M)
-            np.exp(M, out=M)
-            np.add(M, one, out=T)
-            np.power(T, power, out=T)
+        def bare(M, T):
+            exp(M, M)
+            add(M, one, T)
+            power(T, expo, T)
             M *= T
-        return -1.0, weights
+
+        def weights(M, T):
+            minimum(M, clip, out=M)  # a positional out is deprecated here
+            bare(M, T)
+        return -1.0, weights, bare
+
+    def bare(M, T, m_max=_EXP_MAX):
+        _log1p_exp(M, T, m_max)  # softplus(-z)
+        T *= expo
+        M += T
+        exp(M, M)
 
     def weights(M, T):
-        _log1p_exp(M, T)  # softplus(-z)
-        T *= power
-        M += T
-        np.exp(M, out=M)
-    return -1.0, weights
+        bare(M, T, None)
+    return -1.0, weights, bare
 
 
 def _report(converged: bool, iterations: int, stat: float) -> ConvergenceReport:
@@ -152,53 +165,73 @@ def _report(converged: bool, iterations: int, stat: float) -> ConvergenceReport:
 _SEQUENTIAL_ROW_SUM = 8
 
 
-def _gd_one_run(A, theta, it, weights, scale, config: TrainConfig):
+def _gd_one_run(A, theta, it, beta, config: TrainConfig):
     """Finish one run of ``_batched_gd`` from iterate ``theta`` at step ``it``.
 
-    A is the run's (n, d) signed design, d < ``_SEQUENTIAL_ROW_SUM``, and
-    ``scale`` = -sign * n.  The margins and weights live in 1-D buffers and
-    both products are gemv calls through ``np.dot``, which round as the
-    batched matmuls do.  The d-vector work runs on Python floats, whose
-    ``/``, ``*``, ``-`` and ``math.sqrt`` are numpy's correctly rounded
-    operations, and each squared norm is summed left to right (not with
-    ``sum``, which compensates from Python 3.12 on), so every step has the
-    batched loop's bits.  Returns (theta as a list, ConvergenceReport).
+    A is the run's (n, d) signed design, d < ``_SEQUENTIAL_ROW_SUM``, for
+    the GD weights of ``beta`` = 1/alpha.  The margins and weights live in
+    1-D buffers and both products are gemv calls through ``ndarray.dot``,
+    which round as the batched matmuls do.  The d-vector work runs on Python
+    floats, whose ``/``, ``*``, ``-`` and ``math.sqrt`` are numpy's
+    correctly rounded operations, and each squared norm is summed left to
+    right (not with ``sum``, which compensates from Python 3.12 on), so
+    every step has the batched loop's bits.  Each entry of the next iterate
+    is written into the 1-D operand of the margin product, through a
+    memoryview, as soon as it is formed.
+
+    A step runs the weights' overflow guard only when the bound
+    max_i ||a_i|| * ||theta|| on its margins, with a 1e-9 relative slack,
+    is above ``_EXP_MAX`` or NaN; ||theta||^2 is summed as the iterate is
+    formed, and is the radius squared after a projection.  Skipping the
+    guard keeps the bits: for any summation order |fl(a . theta)| <=
+    (1 + gamma_d) ||a|| ||theta||, the slack covers gamma_d and the
+    rounding of both norms, and the guard changes no margin at or below
+    ``_EXP_MAX``.  Returns (theta as a list, ConvergenceReport).
     """
     n, d = A.shape
+    sign, guarded, bare = _gd_step_weights(beta)
+    scale = -sign * n
     lr, tol, radius = config.learning_rate, config.optimality_parameter, config.radius
-    bounded = radius < math.inf
+    cap, bounded, sqrt, inf = config.max_iterations, radius < math.inf, math.sqrt, math.inf
+    reach = float(np.sqrt((A * A).sum(axis=1)).max()) * (1.0 + 1e-9)  # max_i ||a_i||
     margins, scratch, grad = np.empty(n), np.empty(n), np.empty(d)
-    vec, th = theta, theta.tolist()
+    vec, th = np.array(theta), theta.tolist()
+    margins_of, grad_of, entries = A.dot, margins.dot, memoryview(vec)
+    sq = sum(v * v for v in th)  # bounds the margins only, so any order will do
     while True:
-        np.dot(A, vec, out=margins)
-        weights(margins, scratch)
-        np.dot(margins, A, out=grad)
-        ss, nxt = 0.0, []
-        for t, v in zip(th, grad.tolist()):
+        margins_of(vec, margins)
+        if sqrt(sq) * reach <= _EXP_MAX:
+            bare(margins, scratch)
+        else:
+            guarded(margins, scratch)
+        grad_of(A, grad)
+        ss, sq, nxt = 0.0, 0.0, []
+        for i, v in enumerate(grad.tolist()):
             v /= scale
             ss += v * v
-            nxt.append(t - v * lr)
-        if not ss < math.inf:  # also catches NaN
-            raise NumericTrainingError(it, vec)
-        stat = math.sqrt(ss)
+            t = th[i] - v * lr
+            sq += t * t
+            nxt.append(t)
+            entries[i] = t  # vec holds the next iterate from here on
+        if not ss < inf:  # also catches NaN
+            raise NumericTrainingError(it, np.array(th))
+        stat = sqrt(ss)
         if bounded:
-            sq = 0.0
-            for v in nxt:
-                sq += v * v
-            norm = math.sqrt(sq)
+            norm = sqrt(sq)
             if norm > radius:
                 shrink = radius / norm
                 nxt = [v * shrink for v in nxt]
-                sq = 0.0
+                vec[:] = nxt
+                moved_sq = 0.0
                 for t, v in zip(th, nxt):
                     moved = t - v
-                    sq += moved * moved
-                stat = math.sqrt(sq) / lr
+                    moved_sq += moved * moved
+                stat = sqrt(moved_sq) / lr
+                sq = radius * radius
         converged = stat <= tol
-        if converged or it >= config.max_iterations:
+        if converged or it >= cap:
             return th, _report(converged, it, stat)
         th = nxt
-        vec = np.array(th)
         it += 1
 
 
@@ -230,7 +263,8 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
     """
     R, n, d = X.shape
     a = canon_alpha(config.alpha)
-    sign, weights = _gd_step_weights(0.0 if math.isinf(a) else 1.0 / a)
+    beta = 0.0 if math.isinf(a) else 1.0 / a
+    sign, weights, _ = _gd_step_weights(beta)
     lr, tol, radius = config.learning_rate, config.optimality_parameter, config.radius
     bounded = radius < math.inf
     # 0-d operands: numpy converts a Python float operand on every call
@@ -260,8 +294,7 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
         while True:
             if k == 1 and d < _SEQUENTIAL_ROW_SUM:
                 r = idx[0]
-                theta_out[r], reports[r] = _gd_one_run(A[0], theta[0], it, weights,
-                                                       -sign * n, config)
+                theta_out[r], reports[r] = _gd_one_run(A[0], theta[0], it, beta, config)
                 break
             np.matmul(A, theta_col, out=M)
             weights(S, T)

@@ -52,24 +52,28 @@ def thread_count() -> int:
 _EXP_MAX = 709.0
 
 
-def _log1p_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _log1p_exp(x: np.ndarray, out: np.ndarray, x_max=None) -> np.ndarray:
     """log(1 + e^x) written into ``out``, which may be ``x``.
 
     log1p(exp(x)) does not cancel for any x (Maechler 2012, "Accurately
     computing log(1 - exp(-|a|))"), so numpy's vectorized exp and log1p
     give it to about 1 ulp in two passes and no scratch array.  A
     max-reduction that skips NaN routes arrays holding an argument above
-    _EXP_MAX, where exp overflows, through a clipped pass.
+    _EXP_MAX, where exp overflows, through a clipped pass.  A caller that
+    already holds an upper bound on x passes it as ``x_max``, which
+    replaces the reduction.
     """
-    if x.size and np.fmax.reduce(x, axis=None) > _EXP_MAX:
+    if x_max is None:
+        x_max = np.fmax.reduce(x, axis=None, initial=-np.inf)
+    if x_max > _EXP_MAX:
         excess = np.maximum(x - _EXP_MAX, 0.0)
         out = np.minimum(x, _EXP_MAX, out=out)
-        np.exp(out, out=out)
-        np.log1p(out, out=out)
+        np.exp(out, out)
+        np.log1p(out, out)
         out += excess
         return out
-    np.exp(x, out=out)
-    return np.log1p(out, out=out)
+    np.exp(x, out)
+    return np.log1p(out, out)
 
 
 def _float_or_array(out):

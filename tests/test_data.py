@@ -40,6 +40,7 @@ from alpha_lab.training import (
     single_basin,
     train_gd,
 )
+from alpha_lab.util import _EXP_MAX
 
 from oracles import (
     MP_DPS,
@@ -229,7 +230,7 @@ def test_batched_gd_bit_identical_to_frozen_loop(n, R, d):
 @pytest.mark.parametrize("d", range(1, _SEQUENTIAL_ROW_SUM))
 def test_one_run_gd_premises_hold(d):
     # the one-run loop sums a short row left to right in Python floats and
-    # takes both products with np.dot; each must give the batched loop's bits
+    # takes both products with ndarray.dot; each must give the batched loop's bits
     rng = np.random.default_rng(d)
     for scale in (1e-300, 1e-8, 1.0, 1e8, 1e150):
         rows = scale * rng.normal(size=(2000, 1, d))
@@ -245,8 +246,8 @@ def test_one_run_gd_premises_hold(d):
         margins = np.matmul(A, theta[:, :, None])[:, :, 0]
         grads = np.matmul(margins[:, None, :], A)[:, 0, :]
         for r in range(3):
-            assert np.dot(A[r], theta[r]).tobytes() == margins[r].tobytes()
-            assert np.dot(margins[r], A[r]).tobytes() == grads[r].tobytes()
+            assert A[r].dot(theta[r]).tobytes() == margins[r].tobytes()
+            assert margins[r].dot(A[r]).tobytes() == grads[r].tobytes()
             alone = np.matmul(A[r : r + 1], theta[r, None, :, None])[0, :, 0]
             assert alone.tobytes() == margins[r].tobytes()
 
@@ -266,6 +267,73 @@ def test_batched_gd_bit_identical_to_frozen_loop_on_synth_draw():
         if alpha == 0.65:
             assert any(r.converged for r in reports)
         _assert_matches_frozen(X[:1], y[:1], cfg)  # the one-row batch of the benchmark
+
+
+def _growing_run(n, outlier=None, seed=0):
+    """(X, y) of one run whose points, labelled +1, lie at x0 in [1, 1.5],
+    so theta_0 grows.  With ``outlier`` = K the last point moves to
+    (-K, 0), still labelled +1, and its signed margin K theta_0 grows with
+    it; a negative K puts that point far out on the correct side."""
+    rng = np.random.default_rng(seed)
+    X = np.stack([1.0 + 0.5 * rng.random(n), 0.3 * rng.normal(size=n)], axis=1)
+    if outlier is not None:
+        X[-1] = (-outlier, 0.0)
+    return X, np.ones(n)
+
+
+def _signed_margin_maxima(X, y, cfg, steps):
+    """Per step k < ``steps`` and run: the largest signed margin -y x . theta_k
+    (the sign of every alpha != 1) and the bound max ||x|| * ||theta_k||,
+    replayed with the frozen loop."""
+    maxima, bounds = [], []
+    for k in range(steps):
+        theta, _ = frozen_batched_gd(X, y, cfg.alpha, cfg.learning_rate,
+                                     cfg.optimality_parameter, k, cfg.radius)
+        maxima.append(np.einsum("rn,rnd,rd->rn", -y, X, theta).max(axis=1))
+        bounds.append(np.linalg.norm(X, axis=2).max(axis=1) * np.linalg.norm(theta, axis=1))
+    return np.array(maxima), np.array(bounds)
+
+
+# alpha = 4 takes the beta < 1 form and its margins grow step by step;
+# alpha = 0.8 takes the beta > 1 form, whose weights grow with the outlier's
+# margin, so its margins cross only by an overshoot, which the radius bounds
+@pytest.mark.parametrize("cfg", [
+    TrainConfig(alpha=4.0, learning_rate=0.3, optimality_parameter=0.11, max_iterations=40),
+    TrainConfig(alpha=0.8, learning_rate=10.0, max_iterations=40, radius=1.0),
+])
+@pytest.mark.parametrize("R", [1, 2])
+def test_one_run_gd_bit_identical_where_margins_cross_the_guard(cfg, R):
+    X, y = _growing_run(201, outlier=1000.0)
+    if R == 2:
+        # a second run that stops before the first one crosses hands it to
+        # the one-run loop below the guard's threshold
+        companion = 3.0 * X
+        companion[-1] = companion[0]
+        X, y = np.stack([X, companion]), np.stack([y, y])
+    else:
+        X, y = X[None], y[None]
+    reports = _assert_matches_frozen(X, y, cfg)
+    maxima, _ = _signed_margin_maxima(X, y, cfg, cfg.max_iterations)
+    above = maxima[:, 0] > _EXP_MAX
+    # the step at which the one-run loop takes over is below the threshold
+    start = reports[1].iterations + 1 if R == 2 else 0
+    assert (R == 1 or reports[1].converged) and not above[start] and above[start:].sum() >= 10
+
+
+@pytest.mark.parametrize("alpha, lr", [(4.0, 0.1), (0.65, 0.03)])
+@pytest.mark.parametrize("R", [1, 2])
+def test_one_run_gd_bit_identical_where_only_the_margin_bound_crosses(alpha, lr, R):
+    # separable data: theta grows along e0, and with it the bound of the
+    # far point, while every signed margin -y x . theta stays negative
+    X, y = _growing_run(100, outlier=-1000.0)
+    X, y = np.stack([X] * R), np.stack([y] * R)
+    if R == 2:
+        X[1] *= 0.0  # stops at step 0
+    cfg = TrainConfig(alpha=alpha, learning_rate=lr, max_iterations=60)
+    _assert_matches_frozen(X, y, cfg)
+    maxima, bounds = _signed_margin_maxima(X, y, cfg, cfg.max_iterations)
+    crossed = bounds[:, 0] > _EXP_MAX
+    assert (maxima[:, 0] <= _EXP_MAX).all() and not crossed[:5].any() and crossed[-20:].all()
 
 
 # R = 1 with d = 2 is decided by the one-run loop; d = 8 and R = 2 by the

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from alpha_lab import util
 from alpha_lab.losses import (
+    _loss_from_softplus,
     alpha_loss,
     as_pmf,
     canon_alpha,
@@ -157,6 +158,26 @@ def test_derivatives_on_the_shared_weight_kernel_bit_identical_to_seed_form(z, a
         assert agrees_with_frozen(got, ref, lambda i: mp_fn(a, z[i]), scale).all()
         scalar = fn(alpha, float(z[0]))
         assert type(scalar) is float and scalar == got[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sp=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40),
+    alpha=st.one_of(st.floats(1e-3, 1e6).filter(lambda a: a != 1.0),
+                    st.sampled_from([1.0 + 2e-16, 1.0 - 1e-16, 0.5, 2.0, 10.0])),
+)
+def test_loss_from_softplus_bit_identical_to_three_call_form(sp, alpha):
+    # the constant carries the negation: -(c) * t has the bits of c * (-t)
+    sp = np.array(sp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.multiply((1.0 - alpha) / alpha, sp)
+        np.expm1(t, out=t)
+        np.negative(t, out=t)
+        ref = np.multiply(alpha / (alpha - 1.0), t, out=t)
+    got = _loss_from_softplus(alpha, sp, np.empty_like(sp))
+    number = ~np.isnan(ref)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(ref[number]))  # and of zeros
 
 
 KERNEL_EDGES = [-800.0, -745.5, -709.9, -709.78, -708.0, -37.0, -1e-300, 0.0, 1e-300,
