@@ -10,10 +10,7 @@ A companion bound controls the uniform discrepancy between the empirical
 risk at finite alpha >= 1 and the population risk at alpha = inf, with a
 saturation term (log sigmoid(-r sqrt(d)))^2 / (2 alpha) that vanishes as
 alpha grows.  Population risks are Monte-Carlo estimates; audits subtract
-three standard errors from the measured side before comparing.  The pool
-is drawn in chunks of ``POP_CHUNK`` samples, each from its own seed, so
-the draws depend on that size; each chunk is evaluated in row blocks
-that fit in cache.
+three standard errors from the measured side before comparing.
 """
 
 from __future__ import annotations
@@ -53,8 +50,13 @@ class BoundQuery:
 
     def __post_init__(self):
         canon_alpha(self.alpha)
-        if self.r <= 0.0 or self.d < 1 or self.n < 1:
-            raise ValueError("need r > 0, d >= 1, n >= 1")
+        if not 0.0 < self.r < np.inf:
+            raise ValueError(f"r must be finite and positive, got {self.r!r}")
+        for name in ("d", "n"):
+            value = getattr(self, name)
+            if not (value >= 1 and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -92,9 +94,8 @@ def uniform_discrepancy_bound(q: BoundQuery) -> float:
 def _population_risks(thetas: np.ndarray, spec: GmmSpec, alphas, pop_n: int, seed):
     """Chunked Monte-Carlo population risks and their standard errors.
 
-    Rows index ``alphas`` and columns index ``thetas``.  The pool is drawn
-    in chunks of ``POP_CHUNK`` samples, chunk b from seed ``(*seed, b)``,
-    so the draws depend on ``POP_CHUNK``.  Each chunk's loss sums and
+    Rows index ``alphas`` and columns index ``thetas``.  Chunk b of the
+    pool is drawn from seed ``(*seed, b)``.  Each chunk's loss sums and
     sums of squares come from one ``logistic._loss_sums`` pass, which
     evaluates the chunk in cache-sized row blocks, with the margins and
     their softplus computed once for every alpha.

@@ -83,9 +83,6 @@ def _fmt(x) -> str:
 
 
 def parse_alpha(token: str) -> float:
-    token = token.strip().lower()
-    if token in ("inf", "infinity"):
-        return math.inf
     try:
         return canon_alpha(float(token))
     except ValueError as exc:
@@ -316,8 +313,8 @@ def _parse_query(item) -> BoundQuery:
         return BoundQuery(
             alpha=parse_alpha(str(item["alpha"])),
             r=float(item["r"]),
-            d=int(item["d"]),
-            n=int(item["n"]),
+            d=item["d"],
+            n=item["n"],
             delta=float(item["delta"]),
         )
     except (KeyError, ValueError, TypeError) as exc:

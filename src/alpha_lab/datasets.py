@@ -45,10 +45,11 @@ class GmmSpec:
     cov_plus: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_minus", np.asarray(self.mean_minus, dtype=float))
-        object.__setattr__(self, "mean_plus", np.asarray(self.mean_plus, dtype=float))
-        object.__setattr__(self, "cov_minus", np.asarray(self.cov_minus, dtype=float))
-        object.__setattr__(self, "cov_plus", np.asarray(self.cov_plus, dtype=float))
+        for name in ("mean_minus", "mean_plus", "cov_minus", "cov_plus"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if not 0.0 < self.prior_minus < 1.0:
             raise ValueError("prior_minus must lie strictly inside (0, 1)")
         d = self.mean_minus.size
@@ -65,6 +66,14 @@ class GmmSpec:
     @property
     def dim(self) -> int:
         return self.mean_minus.size
+
+    @property
+    def classes(self):
+        """(label, prior, mean, covariance) of each class, Y = -1 first."""
+        return (
+            (-1, self.prior_minus, self.mean_minus, self.cov_minus),
+            (1, 1.0 - self.prior_minus, self.mean_plus, self.cov_plus),
+        )
 
     @property
     def shared_covariance(self) -> bool:
@@ -166,10 +175,7 @@ def sample_gmm(spec: GmmSpec, n: int, seed, normalize: bool = False) -> LabeledD
     y = np.where(rng.random(n) < spec.prior_minus, -1, 1)
     z = rng.standard_normal((n, spec.dim))
     X = np.empty((n, spec.dim))
-    for label, mean, cov in (
-        (-1, spec.mean_minus, spec.cov_minus),
-        (1, spec.mean_plus, spec.cov_plus),
-    ):
+    for label, _, mean, cov in spec.classes:
         mask = y == label
         X[mask] = mean + z[mask] @ _psd_factor(cov).T
     if normalize:
@@ -182,10 +188,7 @@ def sample_balanced_gmm(spec: GmmSpec, n_per_class: int, seed) -> LabeledDataset
     rng = seeded_rng(seed)
     X = np.empty((2 * n_per_class, spec.dim))
     y = np.concatenate([-np.ones(n_per_class, int), np.ones(n_per_class, int)])
-    for label, mean, cov in (
-        (-1, spec.mean_minus, spec.cov_minus),
-        (1, spec.mean_plus, spec.cov_plus),
-    ):
+    for label, _, mean, cov in spec.classes:
         z = rng.standard_normal((n_per_class, spec.dim))
         X[y == label] = mean + z @ _psd_factor(cov).T
     return LabeledDataset(X, y, np.zeros(2 * n_per_class, bool), y.copy())
@@ -237,10 +240,7 @@ def gaussian_linear_error(spec: GmmSpec, w, offset: float = 0.0) -> float:
     if not np.any(w != 0.0):
         raise ValueError("direction must be nonzero")
     err = 0.0
-    for prior, mean, cov, label in (
-        (spec.prior_minus, spec.mean_minus, spec.cov_minus, -1),
-        (1.0 - spec.prior_minus, spec.mean_plus, spec.cov_plus, 1),
-    ):
+    for label, prior, mean, cov in spec.classes:
         m = float(w @ mean)
         s = float(np.sqrt(max(w @ cov @ w, 0.0)))
         if s == 0.0:
@@ -279,9 +279,8 @@ def bayes_direction(spec: GmmSpec):
 
     def best_offset(phi_deg):
         w = np.array([np.cos(np.radians(phi_deg)), np.sin(np.radians(phi_deg))])
-        proj_stats = []
-        for mean, cov in ((spec.mean_minus, spec.cov_minus), (spec.mean_plus, spec.cov_plus)):
-            proj_stats.append((float(w @ mean), float(np.sqrt(max(w @ cov @ w, 1e-30)))))
+        proj_stats = [(float(w @ mean), float(np.sqrt(max(w @ cov @ w, 1e-30))))
+                      for _, _, mean, cov in spec.classes]
         lo = min(m - 6 * s for m, s in proj_stats)
         hi = max(m + 6 * s for m, s in proj_stats)
         res = minimize_scalar(
@@ -322,8 +321,7 @@ def bayes_risk(spec: GmmSpec) -> float:
     g = np.arange(-half, half + step / 2, step)
     xx, yy = np.meshgrid(center[0] + g, center[1] + g, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    f_minus = multivariate_normal(spec.mean_minus, spec.cov_minus).pdf(pts)
-    f_plus = multivariate_normal(spec.mean_plus, spec.cov_plus).pdf(pts)
-    dens = np.minimum(spec.prior_minus * f_minus, (1.0 - spec.prior_minus) * f_plus)
+    dens = np.minimum(*(prior * multivariate_normal(mean, cov).pdf(pts)
+                        for _, prior, mean, cov in spec.classes))
     return float(dens.sum() * step**2)
 

@@ -117,8 +117,6 @@ def tilt_posterior(pmf, alpha) -> np.ndarray:
 
 def binary_entropy(eta: float) -> float:
     """Shannon entropy of a Bernoulli(eta), in nats: the alpha = 1 minimum conditional risk."""
-    if not 0.0 <= float(eta) <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
     return float(min_conditional_risk(eta, 1.0))
 
 
@@ -131,7 +129,7 @@ def min_conditional_risk(eta, alpha):
     """
     a = canon_alpha(alpha)
     e = np.asarray(eta, dtype=float)
-    if np.any(e < 0.0) or np.any(e > 1.0):
+    if not np.all((e >= 0.0) & (e <= 1.0)):  # NaN fails both comparisons
         raise ValueError("eta must lie in [0, 1]")
     return _float_or_array(_row_risks(np.stack([e, 1.0 - e], axis=-1), a))
 

@@ -6,10 +6,7 @@ stops once its stop statistic is at most the optimality parameter: the
 gradient norm, or, when the projection moved the step, the
 gradient-mapping norm ||theta - P(theta - lr * grad)|| / lr, which
 vanishes at a constrained minimizer on the sphere.  Runs of one shape
-train as one batch; a lone run with fewer than 8 features (every
-``train_gd`` call, and the last run of a batch to stop) is finished on
-1-D buffers and Python floats, with the batch's bits.  Both loops apply
-that one rule and report each run at its stop step.
+train as one batch, and each run is reported at its stop step.
 ``run_synthetic_experiment`` repeats draw/corrupt/train over seeded runs
 for several tuning values, averages the trained linear predictors, and
 reports their angles to the Bayes reference plus balanced-test
@@ -36,7 +33,7 @@ from .datasets import (
     sample_balanced_gmm,
     sample_gmm,
 )
-from .losses import canon_alpha
+from .losses import _beta, canon_alpha
 from .util import _EXP_MAX, _log1p_exp
 
 # Reserved seed-stream tags so data, corruption and test draws never collide.
@@ -80,7 +77,11 @@ class ConvergenceReport:
     converged: bool
     iterations: int
     grad_norm: float
-    cause: str  # "gradient_tolerance" or "max_iterations"
+
+    @property
+    def cause(self) -> str:
+        """``"gradient_tolerance"`` if the stop rule held, else ``"max_iterations"``."""
+        return "gradient_tolerance" if self.converged else "max_iterations"
 
 
 class NumericTrainingError(RuntimeError):
@@ -151,12 +152,6 @@ def _gd_step_weights(beta: float):
     def weights(M, T):
         bare(M, T, None)
     return -1.0, weights, bare
-
-
-def _report(converged: bool, iterations: int, stat: float) -> ConvergenceReport:
-    """The report of a run that stopped at step ``iterations`` with stop statistic ``stat``."""
-    cause = "gradient_tolerance" if converged else "max_iterations"
-    return ConvergenceReport(converged, iterations, stat, cause)
 
 
 # numpy's add.reduce sums a row of fewer than 8 elements left to right, as
@@ -230,7 +225,7 @@ def _gd_one_run(A, theta, it, beta, config: TrainConfig):
                 sq = radius * radius
         converged = stat <= tol
         if converged or it >= cap:
-            return th, _report(converged, it, stat)
+            return th, ConvergenceReport(converged, it, stat)
         th = nxt
         it += 1
 
@@ -240,30 +235,24 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
 
     X is (R, n, d), y is (R, n) with entries +-1.  Stopped runs are removed
     from the working batch (and their iterates frozen), so the batched
-    result is bit-identical to training each run alone.  A run stops when
-    its stop statistic is at most the optimality parameter: the gradient
-    norm, or, for a step that the projection onto the radius ball moved,
-    the gradient-mapping norm ||theta - P(theta - lr * grad)|| / lr, which
-    vanishes at a constrained (KKT) minimizer on the sphere.  Without a
-    radius each step takes the root of the smallest squared norm only; the
+    result is bit-identical to training each run alone.  Without a radius
+    each step takes the root of the smallest squared norm only; the
     per-row norms are taken on the steps where rows stop, and are what
-    their reports hold.  Each stopped run's report is written at its stop
-    step.  The margins, weights, gradients and squared norms of every step
-    are written into buffers allocated once per call, through views built
-    once per working-batch size; the step is applied to the whole working
-    batch in place, and only then are the stopped rows dropped.
+    their reports hold.  The margins, weights, gradients and squared norms
+    of every step are written into buffers allocated once per call,
+    through views built once per working-batch size; the step is applied
+    to the whole working batch in place, and only then are the stopped
+    rows dropped.
 
     Once the batch is down to one run and d < ``_SEQUENTIAL_ROW_SUM`` (from
     the first step for ``train_gd`` and one-run experiments, else for the
     last run to stop), ``_gd_one_run`` finishes that run from the current
     iterate and step.  At that size a step costs numpy call overhead, not
     arithmetic; the one-run loop keeps the bits and makes no numpy call on
-    a d-element array.  The bound on d holds numpy's row sums to the left
-    to right order of the one-run loop's Python sums.
+    a d-element array.
     """
     R, n, d = X.shape
-    a = canon_alpha(config.alpha)
-    beta = 0.0 if math.isinf(a) else 1.0 / a
+    beta = _beta(canon_alpha(config.alpha))
     sign, weights, _ = _gd_step_weights(beta)
     lr, tol, radius = config.learning_rate, config.optimality_parameter, config.radius
     bounded = radius < math.inf
@@ -329,7 +318,7 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
                 stop = newly | capped
                 theta_out[idx[stop]] = theta[stop]
                 for r, c, s in zip(idx[stop].tolist(), newly[stop].tolist(), stat[stop].tolist()):
-                    reports[r] = _report(c, it, s)
+                    reports[r] = ConvergenceReport(c, it, s)
                 keep = ~stop
                 if not keep.any():
                     break
@@ -347,13 +336,7 @@ def _batched_gd(X: np.ndarray, y: np.ndarray, config: TrainConfig):
 
 
 def train_gd(data: LabeledDataset, config: TrainConfig):
-    """Train one dataset to convergence; returns (ParamVector, report).
-
-    Stops when the gradient norm, or for a projected step the
-    gradient-mapping norm, is at most ``optimality_parameter`` (cause
-    "gradient_tolerance"), else after ``max_iterations`` steps (cause
-    "max_iterations").
-    """
+    """Train one dataset by the module's stop rule; returns (ParamVector, ConvergenceReport)."""
     if data.n == 0:
         raise ValueError("empty dataset")
     theta, reports = _batched_gd(data.X[None], data.y[None].astype(float), config)

@@ -28,21 +28,7 @@ def seeded_rng(seed) -> np.random.Generator:
 
 
 def thread_count() -> int:
-    """Reads ALPHA_LAB_THREADS; falls back to the machine core count.
-
-    No library code uses it since the certificate sweep became serial;
-    ``bench/run.py`` still reports it.  Remove it, and the variable, with
-    the benchmark's next revision.
-    """
-    raw = os.environ.get("ALPHA_LAB_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"ALPHA_LAB_THREADS must be an integer, got {raw!r}")
-        if n < 1:
-            raise ValueError("ALPHA_LAB_THREADS must be >= 1")
-        return n
+    """The machine core count; only ``bench/run.py --trace 1`` reads it."""
     return os.cpu_count() or 1
 
 

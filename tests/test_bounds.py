@@ -40,8 +40,12 @@ def test_query_validation():
         BoundQuery(alpha=1.0, r=1.0, d=2, n=100, delta=1.5)
     with pytest.raises(ValueError):
         BoundQuery(alpha=-1.0, r=1.0, d=2, n=100, delta=0.1)
-    with pytest.raises(ValueError):
-        BoundQuery(alpha=1.0, r=0.0, d=2, n=100, delta=0.1)
+    for bad in ({"r": 0.0}, {"r": math.nan}, {"r": math.inf}, {"d": 2.9}, {"n": 500.5}):
+        with pytest.raises(ValueError):
+            BoundQuery(**{"alpha": 1.0, "r": 1.0, "d": 2, "n": 100, "delta": 0.1, **bad})
+    # an integral float is an integer
+    q = BoundQuery(alpha=1.0, r=1.0, d=2.0, n=100.0, delta=0.1)
+    assert (q.d, q.n) == (2, 100) and type(q.d) is type(q.n) is int
 
 
 def test_rademacher_bound_scaling_in_n():

@@ -535,13 +535,57 @@ def test_linalg_error_is_numeric_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_alpha_literal_inf(tmp_path):
-    out = tmp_path / "tilt_inf.csv"
-    rc = main(["tilt", "--pmf", "binomial:4,0.3", "--alphas", "inf", "--out", str(out)])
-    assert rc == 0
-    _, header, rows = read_csv(out)
-    assert header[-1] == "alpha_inf"
-    col = np.array([float(r[-1]) for r in rows])
-    assert col.max() == 1.0  # point mass on the mode
+    bodies = set()
+    for alphas in ("inf", "INF", " Infinity ", "+inf"):
+        out = tmp_path / "tilt_inf.csv"
+        rc = main(["tilt", "--pmf", "binomial:4,0.3", "--alphas", alphas, "--out", str(out)])
+        assert rc == 0
+        _, header, rows = read_csv(out)
+        assert header[-1] == "alpha_inf"
+        col = np.array([float(r[-1]) for r in rows])
+        assert col.max() == 1.0  # point mass on the mode
+        bodies.add(body_bytes(out))
+    assert len(bodies) == 1  # every spelling is the same alpha
+
+
+@pytest.mark.parametrize("alphas", ["nan", "0", "-1", "abc", "1,-inf"])
+def test_alphas_reject_what_is_not_a_positive_alpha(tmp_path, capsys, alphas):
+    out = tmp_path / "tilt.csv"
+    rc = main(["tilt", "--pmf", "binomial:4,0.3", "--alphas", alphas, "--out", str(out)])
+    assert rc == 2
+    assert "configuration error: bad alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [{"r": math.nan}, {"r": math.inf}, {"d": 2.9}, {"n": 500.5}])
+def test_bounds_rejects_a_malformed_query_entry(tmp_path, capsys, entry):
+    # rejected before the audit runs: a NaN radius used to audit NaN vectors
+    query = tmp_path / "q.json"
+    query.write_text(json.dumps({"alpha": 1.0, "r": 1.0, "d": 2, "n": 500, "delta": 0.05,
+                                 **entry}))
+    out = tmp_path / "bounds.csv"
+    argv = ["bounds", "--query", str(query), "--gmm", write_gmm(tmp_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert "configuration error: invalid bound query entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"mean_minus": [math.nan, -1.0]},
+    {"cov_plus": [[math.inf, 0.0], [0.0, 1.0]]},
+    {"mean_plus": [1.0, -math.inf]},
+])
+@pytest.mark.parametrize("argv", [
+    ["landscape", "--alpha", "2", "--grid", "3", "--n", "50"],
+    ["slqc-audit", "--targets", "1.001", "--samples", "4", "--n", "50"],
+    ["trend", "--ns", "50", "--runs", "2"],
+])
+def test_non_finite_mixture_is_a_config_error(tmp_path, capsys, entry, argv):
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--gmm", write_gmm(tmp_path, **entry), "--out", str(out)])
+    assert rc == 2
+    assert "configuration error: invalid GMM config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload", [5, None, [], [5]])

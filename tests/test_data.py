@@ -73,6 +73,10 @@ def test_spec_validation():
         GmmSpec(0.5, (0, 0), (1, 1), [[1, 0.5], [0.4, 1]], np.eye(2))  # asymmetric
     with pytest.raises(ValueError):
         GmmSpec(0.5, (0, 0), (1, 1), [[1, 2], [2, 1]], np.eye(2))  # indefinite
+    with pytest.raises(ValueError, match="mean_plus must be finite"):
+        GmmSpec(0.5, (0, 0), (1, np.nan), np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match="cov_minus must be finite"):
+        GmmSpec(0.5, (0, 0), (1, 1), [[np.inf, 0], [0, 1]], np.eye(2))
 
 
 def test_sampling_determinism_and_prior():
@@ -202,7 +206,7 @@ def _assert_matches_frozen(X, y, cfg):
     )
     theta, reports = _batched_gd(X, y, cfg)
     assert np.array_equal(theta, ref_theta)
-    assert [astuple(r) for r in reports] == ref_reports
+    assert [(*astuple(r), r.cause) for r in reports] == ref_reports
     return reports
 
 
@@ -356,14 +360,24 @@ def test_stop_test_at_the_tolerance_boundary(R, d):
                 assert (report.converged and report.iterations == 0) == stops
 
 
+# one scale per run: one run takes the one-run loop's raise, two the batched loop's
 @pytest.mark.parametrize("scale, cfg, iteration, theta", [
     (1e160, TrainConfig(alpha=1.0), 0, [0.0, 0.0]),
     (1e3, TrainConfig(alpha=0.3, learning_rate=1.0), 1, [-159.8230869, -178.83186071]),
+    pytest.param((1e160, 1e160), TrainConfig(alpha=1.0), 0, [0.0, 0.0], id="R2-1e+160"),
+    pytest.param((1e3, 1e3), TrainConfig(alpha=0.3, learning_rate=1.0), 1,
+                 [382.0388244, 70.05412445], id="R2-1000.0"),
+    pytest.param((1e3, 1e3), TrainConfig(alpha=0.3, learning_rate=1.0, radius=500.0), 1,
+                 [382.0388244, 70.05412445], id="R2-1000.0-radius"),
+    # only the second run goes non-finite, so its iterate is the one reported
+    pytest.param((1.0, 1e3), TrainConfig(alpha=0.3, learning_rate=1.0), 1,
+                 [111.52595132, 123.648876], id="R2-second-run"),
 ])
 def test_nonfinite_gradient_raises_like_frozen_loop_without_warning(scale, cfg, iteration, theta):
     rng = np.random.default_rng(0)
-    X = scale * rng.normal(size=(1, 100, 2))
-    y = np.where(rng.random((1, 100)) < 0.5, -1.0, 1.0)
+    R = np.size(scale)
+    X = np.reshape(scale, (-1, 1, 1)) * rng.normal(size=(R, 100, 2))
+    y = np.where(rng.random((R, 100)) < 0.5, -1.0, 1.0)
     with np.errstate(invalid="ignore"), pytest.raises(FrozenNumericError) as frozen:
         frozen_batched_gd(X, y, cfg.alpha, cfg.learning_rate, cfg.optimality_parameter,
                           cfg.max_iterations, cfg.radius)

@@ -80,7 +80,7 @@ def test_minimal_risk_shannon_at_one():
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
-@pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0, np.inf])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, np.inf])
 def test_minimal_risk_matches_enumeration(shape, alpha):
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -204,6 +204,14 @@ def test_binary_entropy_edges():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(np.log(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [np.nan, [0.2, np.nan, 0.7]])
+def test_nan_eta_is_rejected(eta):
+    with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+        min_conditional_risk(eta, 2.0)
+    with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+        binary_entropy(eta)
 
 
 ACCURACY_ALPHAS = [1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-7, 1.0 - 1e-7, 1.0 + 1e-4, 0.3, 8.0, 1e6,
