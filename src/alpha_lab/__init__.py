@@ -8,7 +8,7 @@ normalized gradient descent, uniform generalization bounds, and a seeded
 Gaussian-mixture robustness/sensitivity experiment harness.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .losses import (
     alpha_loss,

@@ -71,6 +71,8 @@ class ConfigError(Exception):
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # the common case, ahead of the tuple isinstance checks
+        return format(x, ".17g")
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -276,14 +278,16 @@ def cmd_slqc_audit(args) -> Optional[str]:
     theta0, report0 = train_gd(data, TrainConfig(alpha=alpha0, radius=args.radius))
     kappa0 = logistic.theta_lipschitz_constant(alpha0, args.radius, spec.dim)
     thetas = slqc.sample_audit_points(spec.dim, args.radius, args.samples, seed=(args.seed, 12))
-    floor, floor_slack, sups, sweeps = slqc.certificate_sweep(
+    floors, sups, sweeps = slqc.certificate_sweep(
         data, thetas, theta0.theta, alpha0, args.eps0, kappa0, args.radius, targets
     )
-    rows, violations, descent_checks = [], 0, []
+    rows, violations, descent_checks, sups = [], 0, [], sups.tolist()
     for target, ((eps, kappa, checks), (b_eps, b_kappa, b_checks)) in zip(targets, sweeps):
         done = [c for c in checks + b_checks if c is not None]
         violations += sum(c.verdict is slqc.Verdict.FAILS for c in done)
         descent_checks.append(sum(c.grad_norm is not None for c in done))
+        # as Python floats, the cells take _fmt's first branch
+        eps, kappa, b_eps, b_kappa = (v.tolist() for v in (eps, kappa, b_eps, b_kappa))
         for i, (c, b) in enumerate(zip(checks, b_checks)):
             # an evolved certificate's rho is that of its check
             evolved = (["range_exceeded", "", "", "", sups[i]] if c is None
@@ -294,8 +298,7 @@ def cmd_slqc_audit(args) -> Optional[str]:
     manifest = _manifest(
         args, "slqc-audit", args.gmm, alpha0=alpha0, eps0=args.eps0, kappa0=kappa0,
         theta0_converged=report0.converged, theta0_iterations=report0.iterations,
-        theta0_stop_statistic=report0.grad_norm, gradient_floor_alphas=slqc.FLOOR_POINTS,
-        gradient_floor_zero=int((floor == 0.0).sum()), gradient_floor_slack=floor_slack.max(),
+        theta0_stop_statistic=report0.grad_norm, gradient_floor_zero=(floors == 0.0).sum(axis=1),
         descent_checks=descent_checks, violations=violations,
     )
     write_csv(

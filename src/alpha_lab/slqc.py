@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from .losses import _beta, canon_alpha
 from .util import derive_rng, seeded_rng
 
 GRAD_EPS = 1e-12  # "nonzero gradient" threshold against float noise
-# tuning values behind ``gradient_floor``: of 17, 33, 65 and 129 points,
-# the fewest whose median floor is within 10% of the dense minimum
-FLOOR_POINTS = 65
 
 
 class Verdict(Enum):
@@ -118,8 +115,7 @@ class OracleFunction:
         return self.grads(np.asarray(theta, dtype=float)[None])[0]
 
 
-@dataclass(frozen=True)
-class SlqcCheck:
+class SlqcCheck(NamedTuple):
     verdict: Verdict
     value_gap: float
     distance: float
@@ -294,14 +290,15 @@ def evolve_slqc(alpha0, eps0, kappa0, grad_norm_at_theta, L, J, r, alpha):
     return (eps, kappa) if np.ndim(eps) else (float(eps), float(kappa))
 
 
-def gradient_floor(thetas, data, alpha0):
-    """Gradient norms at alpha0 and a lower bound on them over all alpha' >= alpha0.
+def gradient_floor(thetas, data, alpha0, targets):
+    """Gradient norms at alpha0 and, per target t, a lower bound on them over [alpha0, t].
 
-    Returns (grad0, floor, slack), one value per row of ``thetas``.  One
-    ``risk_gradients`` call takes the FLOOR_POINTS = 65 tuning values
-    alpha0 and 64 more, uniform in beta = 1/alpha down to beta = 0
-    (alpha = inf); grad0 is the alpha0 column, with the bits of
-    ``risk_gradient_batch`` at alpha0.
+    Returns (grad0, floors): grad0 has one value per row of ``thetas``, with
+    the bits of ``risk_gradient_batch`` at alpha0, and floors has shape
+    (len(targets), len(thetas)).  [alpha0, t] is the interval that
+    ``bootstrap_slqc`` needs for a certificate at t.  One ``risk_gradients``
+    call at alpha0 gives grad0, S and J_emp below.  A target below alpha0
+    raises ValueError.
 
     The bound.  The gradient is -(1/n) sum w_beta(z_i) y_i x_i with
     w_beta = g(z)^(1 - beta) g(-z) = exp((1 - beta) log g(z) + log g(-z)),
@@ -311,12 +308,10 @@ def gradient_floor(thetas, data, alpha0):
 
         J_emp = (1/n) sum ||x_i|| |log g(z_i)| w_0(z_i)
 
-    is a Lipschitz constant in beta of the gradient, and of its norm
-    g(beta), on [0, 1/alpha0].  Between neighbouring grid values b_k >
-    b_{k+1}, g >= (g_k + g_{k+1} - J_emp (b_k - b_{k+1}))/2 (Piyavskii
-    1972; Shubert 1972), and the floor is the least of these 64 bounds,
-    minus the rounding term below, and at least 0.  ``slack`` is the
-    largest J_emp (b_k - b_{k+1})/2.
+    is a Lipschitz constant in beta of the gradient, and of its norm, on
+    [0, 1/alpha0].  Target t spans beta in [1/t, 1/alpha0], so with
+    D_t = J_emp (1/alpha0 - 1/t) every norm there is at least g0 - D_t, and
+    the floor is that, minus the rounding term below, and at least 0.
 
     Rounding.  Let u = 2^-53, S = (1/n) sum ||x_i|| w_0(z_i) and z_max =
     ||theta|| max ||x_i||, which bounds every |z_i|.  To first order in u,
@@ -327,31 +322,34 @@ def gradient_floor(thetas, data, alpha0):
     product, a log-sigmoid pair within 8u each and exp within 4u, with
     |log g(z)| + |log g(-z)| <= |z| + 2 and c = max(1, 1/alpha0) >= |1 - beta|;
     d + 12 in the norm and in J_emp's extra factors.  S bounds the error at
-    every beta because w_beta <= w_0.  The floor subtracts 2 rho (S + slack),
+    every beta because w_beta <= w_0.  The floor subtracts 2 rho (S + D_t),
     twice the first-order term, to cover the higher-order ones.
     """
     alpha0 = canon_alpha(alpha0)
+    targets = [canon_alpha(t) for t in targets]
+    if any(t < alpha0 for t in targets):
+        raise ValueError("need alpha >= alpha0 at every target")
     X, y = logistic._as_xy(data)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     (n, d), beta0 = X.shape, _beta(alpha0)
-    inner = beta0 * np.linspace(1.0, 0.0, FLOOR_POINTS)[1:-1]
-    alphas = [alpha0] + [canon_alpha(1.0 / b) for b in inner] + [math.inf]
-    betas = np.array([_beta(a) for a in alphas])
-    grads, (s0, j_emp) = logistic.risk_gradients(thetas, (X, y), alphas, slope=True)
-    norms = np.linalg.norm(grads, axis=2)
-    steps = (betas[:-1] - betas[1:])[:, None]
-    slack = j_emp * (steps.max() / 2.0)
+    grads, (s0, j_emp) = logistic.risk_gradients(thetas, (X, y), [alpha0], slope=True)
+    grad0 = np.linalg.norm(grads[0], axis=1)
+    d_t = j_emp * np.array([beta0 - _beta(t) for t in targets])[:, None]
     z_max = np.linalg.norm(thetas, axis=1) * np.linalg.norm(X, axis=1).max()
     rho = 2.0**-53 * (2 * n + (d + 12) * max(1.0, beta0) * (z_max + 2.0) + d + 16)
-    bound = ((norms[:-1] + norms[1:] - j_emp * steps) / 2.0).min(axis=0)
-    return norms[0], np.maximum(bound - 2.0 * rho * (s0 + slack), 0.0), slack
+    return grad0, np.maximum(grad0 - d_t - 2.0 * rho * (s0 + d_t), 0.0)
 
 
 def bootstrap_slqc(alpha0, eps0, kappa0, g_lower, L, J, r, lam):
     """Infinitesimal-step (bootstrapped) certificate transport.
 
     ``g_lower`` is a caller-audited lower bound on the gradient norm at
-    theta over all alpha' >= alpha0, such as ``gradient_floor``'s.  Returns
+    theta over [alpha0, alpha_lambda], such as ``gradient_floor``'s for
+    the target alpha_lambda.  That interval is enough: the step-1/N
+    recursion of ``bootstrap_sequences`` moves alpha_{n-1} to alpha_n =
+    alpha_{n-1} + 1/N using the norm at alpha_{n-1} alone, the bootstrapped
+    certificate is the limit of those steps up to alpha_lambda, and so only
+    the norms on [alpha0, alpha_lambda] enter it.  Returns
     (alpha_lambda, eps_lambda, rho lower bound) for lam in (0, 1):
 
         alpha_lam = alpha0 + lam * alpha0^2 g / (J (1 + 2 r kappa0/eps0))
@@ -462,12 +460,9 @@ def audit_certificate(f: OracleFunction, cert: SlqcCertificate, thetas, max_work
     the benchmark's next revision.
     """
     checks = check_slqc_points(f, thetas, cert.theta0, cert.epsilon, cert.rho)
-    counts = {v: 0 for v in Verdict}
-    for c in checks:
-        counts[c.verdict] += 1
-    return AuditResult(
-        checks, counts[Verdict.CONDITION_1], counts[Verdict.CONDITION_2], counts[Verdict.FAILS]
-    )
+    verdicts = [c.verdict for c in checks]
+    return AuditResult(checks, verdicts.count(Verdict.CONDITION_1),
+                       verdicts.count(Verdict.CONDITION_2), verdicts.count(Verdict.FAILS))
 
 
 def risk_oracle(data, alpha, validate: bool = True) -> OracleFunction:
@@ -490,15 +485,16 @@ def certificate_sweep(data, thetas, theta0, alpha0, eps0, kappa0, r, targets):
     """Evolve and bootstrap (eps0, kappa0, theta0) from alpha0 to each target
     at every row of the (m, d) array thetas, and check the results there.
 
-    Returns ``gradient_floor``'s floor and slack, each row's evolution sup,
-    and per target the evolved and the bootstrapped (eps, kappa, checks)
-    rows, nan and None where a certificate does not reach the target.
-    Bootstrapping takes the floor and the lambda whose alpha_lambda is the target.
+    Returns ``gradient_floor``'s per-target floors, each row's evolution
+    sup, and per target the evolved and the bootstrapped (eps, kappa,
+    checks) rows, nan and None where a certificate does not reach the
+    target.  Bootstrapping takes the target's floor, a bound over [alpha0,
+    target], and the lambda whose alpha_lambda is the target.
     """
-    grad0, floor, slack = gradient_floor(thetas, data, alpha0)
+    grad0, floors = gradient_floor(thetas, data, alpha0, targets)
     L, J = logistic.alpha_lipschitz_risk(thetas), logistic.alpha_lipschitz_gradient(thetas)
     sweeps = []
-    for target in targets:
+    for target, floor in zip(targets, floors):
         evolved = evolve_slqc(alpha0, eps0, kappa0, grad0, L, J, r, target)
         # the inverse of bootstrap_slqc's alpha_lambda: inf or nan at a zero floor
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -511,8 +507,8 @@ def certificate_sweep(data, thetas, theta0, alpha0, eps0, kappa0, r, targets):
         sweeps.append([])
         for eps, kappa in (evolved, booted):
             # one check_slqc_points call at the rows reached, None at the others
-            k, checks = np.flatnonzero(~np.isnan(eps)), np.full(len(eps), None)
-            if k.size:
-                checks[k] = check_slqc_points(oracle, thetas[k], theta0, eps[k], eps[k] / kappa[k])
-            sweeps[-1].append((eps, kappa, list(checks)))
-    return floor, slack, evolution_range(alpha0, grad0, J, r, kappa0, eps0), sweeps
+            k = ~np.isnan(eps)
+            done = iter(check_slqc_points(oracle, thetas[k], theta0, eps[k], eps[k] / kappa[k])
+                        if k.any() else ())
+            sweeps[-1].append((eps, kappa, [next(done) if hit else None for hit in k.tolist()]))
+    return floors, evolution_range(alpha0, grad0, J, r, kappa0, eps0), sweeps

@@ -286,17 +286,17 @@ def seed_risk_gradient_batch(thetas, X, y, alpha):
     return (X.T @ F1).T / X.shape[0]
 
 
-def dense_gradient_norm_min(thetas, X, y, alpha0, points=1001):
+def dense_gradient_norm_min(thetas, X, y, alpha0, target=np.inf, points=401):
     """Smallest gradient norm over ``points`` values uniform in beta = 1/alpha
-    on [0, 1/alpha0], per theta, from ``seed_risk_gradient_batch``.
+    on [1/target, 1/alpha0], per theta, from ``seed_risk_gradient_batch``.
 
-    An upper bound on the minimum over all alpha' >= alpha0, so a lower
-    bound on that minimum must not exceed it.
+    An upper bound on the minimum over alpha' in [alpha0, target], so a
+    lower bound on that minimum must not exceed it.
     """
     norms = [
         np.linalg.norm(seed_risk_gradient_batch(thetas, X, y, np.inf if b == 0.0 else 1.0 / b),
                        axis=1)
-        for b in np.linspace(1.0 / alpha0, 0.0, points)
+        for b in np.linspace(1.0 / alpha0, 1.0 / target, points)
     ]
     return np.min(norms, axis=0)
 

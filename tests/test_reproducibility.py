@@ -25,8 +25,8 @@ AVX2 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 # columns and manifest lines that hold verdicts and counts
 DISCRETE = {
     "slqc-audit": (["target_alpha", "theta_index", "verdict", "boot_verdict"],
-                   ["theta0_converged", "theta0_iterations", "gradient_floor_alphas",
-                    "gradient_floor_zero", "descent_checks", "violations"]),
+                   ["theta0_converged", "theta0_iterations", "gradient_floor_zero",
+                    "descent_checks", "violations"]),
     "landscape": (["theta1", "theta2"], ["single_basin", "value_ok", "grad_ok", "violations"]),
 }
 

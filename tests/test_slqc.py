@@ -22,6 +22,7 @@ from alpha_lab.slqc import (
     OracleFunction,
     RangeExceeded,
     SlqcCertificate,
+    SlqcCheck,
     Verdict,
     audit_certificate,
     bootstrap_sequences,
@@ -243,11 +244,15 @@ ROW = (st.floats(1e-3, 10.0), st.floats(0.0, 10.0), st.floats(1e-2, 10.0))
     offset=st.one_of(st.just(0.0), st.floats(1e-6, 50.0), st.just(math.inf)),
 )
 @example(rows=[], alpha0=1.0, eps0=0.05, rho_frac=0.5, r=1.0, offset=1e-3)
+# eps0 / kappa0 rounds one ulp above r here unless kappa0 steps up
+@example(rows=[], alpha0=1.0, eps0=0.5, rho_frac=1.0, r=0.4074281436885816, offset=0.0)
 def test_evolution_rows_are_the_one_row_calls(rows, alpha0, eps0, rho_frac, r, offset):
     # bit for bit, with nan exactly at the rows whose one-row call raises
     # RangeExceeded, and their sups those of evolution_range; every row is
     # (eps0, kappa0) at alpha0 and out of range at inf
     kappa0 = eps0 / (rho_frac * r)
+    while eps0 / kappa0 > r:  # evolve_slqc's precondition rho0 <= r, after rounding
+        kappa0 = math.nextafter(kappa0, math.inf)
     g, L, J = np.array(rows).reshape(-1, 3).T
     target = alpha0 + offset
     eps, kappa = evolve_slqc(alpha0, eps0, kappa0, g, L, J, r, target)
@@ -508,6 +513,23 @@ def test_vanishing_gradient_fails_in_batch():
     assert checks == [check_slqc_at(f, t, cert) for t in thetas]
 
 
+def test_check_records_are_immutable_values():
+    # immutable, hashable and equal by value, with the frozen dataclass's
+    # defaults and repr text
+    check = SlqcCheck(Verdict.CONDITION_2, 0.5, 1.0, 0.25, 2.0, 0.75)
+    same = SlqcCheck(Verdict.CONDITION_2, 0.5, 1.0, 0.25, 2.0, 0.75, "")
+    assert check == same and hash(check) == hash(same) and len({check, same}) == 1
+    assert check != SlqcCheck(Verdict.CONDITION_2, 0.5, 1.0, 0.25, 2.0, 0.5)
+    with pytest.raises(AttributeError):
+        check.rho = 1.0
+    bare = SlqcCheck(Verdict.CONDITION_1, -0.1, 1.0, 0.25)
+    assert (bare.grad_norm, bare.inner_product, bare.detail) == (None, None, "")
+    assert repr(check) == (
+        "SlqcCheck(verdict=<Verdict.CONDITION_2: 'condition2'>, value_gap=0.5, distance=1.0, "
+        "rho=0.25, grad_norm=2.0, inner_product=0.75, detail='')"
+    )
+
+
 PIN_ALPHAS = [0.7, 1.0, 1.003, 4.0, np.inf]
 
 
@@ -560,16 +582,24 @@ def floor_rounding(n, d, z_max, alpha0):
 @pytest.mark.parametrize("alpha0", [1.0, 1.5, 65.0])
 @pytest.mark.parametrize("radius", [0.2, 1.0, 5.0])
 def test_gradient_floor_is_below_the_dense_minimum(radius, alpha0):
-    # a lower bound over alpha' >= alpha0 is at most the smallest norm over
-    # 1,001 values uniform in 1/alpha, and at most the norm at alpha0
+    # each target's floor is a lower bound over [alpha0, target]: at most
+    # the smallest norm over 401 values uniform in 1/alpha there, and at
+    # most the norm at alpha0; near targets lose little of that minimum
     data = sample_gmm(FLOOR_SPEC, 500, seed=(0, 11), normalize=True)
     thetas = sample_audit_points(2, radius, 32, seed=(0, 12))
-    grad0, floor, slack = gradient_floor(thetas, data, alpha0)
-    dense = dense_gradient_norm_min(thetas, data.X, data.y.astype(float), alpha0)
-    assert (floor >= 0.0).all() and (slack > 0.0).all()
-    assert (floor <= dense).all() and (floor <= grad0).all()
-    if radius <= 1.0 and alpha0 == 1.0:
-        assert np.median(floor / dense) >= 0.9
+    targets = [alpha0 * 1.0002, alpha0 + 0.001, alpha0 + 0.003, 2.0 * alpha0, np.inf]
+    grad0, floors = gradient_floor(thetas, data, alpha0, targets)
+    assert floors.shape == (len(targets), len(thetas))
+    for target, floor in zip(targets, floors):
+        dense = dense_gradient_norm_min(thetas, data.X, data.y.astype(float), alpha0, target)
+        assert (floor >= 0.0).all()
+        assert (floor <= dense).all() and (floor <= grad0).all()
+        if target - alpha0 <= 0.003:
+            assert np.median(floor / dense) >= 0.98
+    # a wider interval has the lower floor, and no target lies below alpha0
+    assert (np.diff(floors[np.argsort(targets)], axis=0) <= 0.0).all()
+    with pytest.raises(ValueError):
+        gradient_floor(thetas, data, alpha0, [alpha0, 0.9 * alpha0])
 
 
 def test_gradient_floor_norms_at_alpha0_are_the_batch_gradient_norms():
@@ -577,7 +607,7 @@ def test_gradient_floor_norms_at_alpha0_are_the_batch_gradient_norms():
     thetas = sample_audit_points(2, 1.0, 32, seed=(0, 12))
     for alpha0 in (1.0, 1.5, 64.0, 64.1, 100.0):
         ref = np.linalg.norm(risk_gradient_batch(thetas, data, alpha0), axis=1)
-        assert gradient_floor(thetas, data, alpha0)[0].tobytes() == ref.tobytes()
+        assert gradient_floor(thetas, data, alpha0, [alpha0])[0].tobytes() == ref.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
