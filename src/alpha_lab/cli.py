@@ -71,14 +71,12 @@ class ConfigError(Exception):
 
 
 def _fmt(x) -> str:
-    if type(x) is float:  # the common case, ahead of the tuple isinstance checks
-        return format(x, ".17g")
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
     if isinstance(x, (list, tuple, np.ndarray)):
         return ",".join(_fmt(v) for v in x)
     return str(x)
@@ -281,13 +279,11 @@ def cmd_slqc_audit(args) -> Optional[str]:
     floors, sups, sweeps = slqc.certificate_sweep(
         data, thetas, theta0.theta, alpha0, args.eps0, kappa0, args.radius, targets
     )
-    rows, violations, descent_checks, sups = [], 0, [], sups.tolist()
+    rows, violations, descent_checks = [], 0, []
     for target, ((eps, kappa, checks), (b_eps, b_kappa, b_checks)) in zip(targets, sweeps):
         done = [c for c in checks + b_checks if c is not None]
         violations += sum(c.verdict is slqc.Verdict.FAILS for c in done)
         descent_checks.append(sum(c.grad_norm is not None for c in done))
-        # as Python floats, the cells take _fmt's first branch
-        eps, kappa, b_eps, b_kappa = (v.tolist() for v in (eps, kappa, b_eps, b_kappa))
         for i, (c, b) in enumerate(zip(checks, b_checks)):
             # an evolved certificate's rho is that of its check
             evolved = (["range_exceeded", "", "", "", sups[i]] if c is None

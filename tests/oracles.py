@@ -286,7 +286,7 @@ def seed_risk_gradient_batch(thetas, X, y, alpha):
     return (X.T @ F1).T / X.shape[0]
 
 
-def dense_gradient_norm_min(thetas, X, y, alpha0, target=np.inf, points=401):
+def dense_gradient_norm_min(thetas, X, y, alpha0, target=np.inf, points=1001):
     """Smallest gradient norm over ``points`` values uniform in beta = 1/alpha
     on [1/target, 1/alpha0], per theta, from ``seed_risk_gradient_batch``.
 

@@ -583,18 +583,30 @@ def floor_rounding(n, d, z_max, alpha0):
 @pytest.mark.parametrize("radius", [0.2, 1.0, 5.0])
 def test_gradient_floor_is_below_the_dense_minimum(radius, alpha0):
     # each target's floor is a lower bound over [alpha0, target]: at most
-    # the smallest norm over 401 values uniform in 1/alpha there, and at
-    # most the norm at alpha0; near targets lose little of that minimum
+    # the smallest norm over values uniform in 1/alpha there (401 on the
+    # near intervals, 1,001 on the wide ones), and at most the norm at
+    # alpha0; near targets lose little of that minimum
     data = sample_gmm(FLOOR_SPEC, 500, seed=(0, 11), normalize=True)
     thetas = sample_audit_points(2, radius, 32, seed=(0, 12))
     targets = [alpha0 * 1.0002, alpha0 + 0.001, alpha0 + 0.003, 2.0 * alpha0, np.inf]
     grad0, floors = gradient_floor(thetas, data, alpha0, targets)
     assert floors.shape == (len(targets), len(thetas))
+    # bit for bit g0 - D_t - 2 rho (S + D_t), at least 0, so the rounding
+    # term (about 1e-13 of the norm here) cannot be dropped or halved
+    grads, (s0, j_emp) = risk_gradients(thetas, data, [alpha0], slope=True)
+    z_max = np.linalg.norm(thetas, axis=1) * np.linalg.norm(data.X, axis=1).max()
+    rounding = floor_rounding(len(data.X), 2, z_max, alpha0)
     for target, floor in zip(targets, floors):
-        dense = dense_gradient_norm_min(thetas, data.X, data.y.astype(float), alpha0, target)
+        d_t = j_emp * (1.0 / alpha0 - (0.0 if np.isinf(target) else 1.0 / target))
+        rebuilt = np.maximum(np.linalg.norm(grads[0], axis=1) - d_t - rounding * (s0 + d_t), 0.0)
+        assert floor.tobytes() == rebuilt.tobytes()
+        near = target - alpha0 <= 0.003
+        dense = dense_gradient_norm_min(
+            thetas, data.X, data.y.astype(float), alpha0, target, points=401 if near else 1001
+        )
         assert (floor >= 0.0).all()
         assert (floor <= dense).all() and (floor <= grad0).all()
-        if target - alpha0 <= 0.003:
+        if near:
             assert np.median(floor / dense) >= 0.98
     # a wider interval has the lower floor, and no target lies below alpha0
     assert (np.diff(floors[np.argsort(targets)], axis=0) <= 0.0).all()
